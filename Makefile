@@ -8,7 +8,7 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck ci
+.PHONY: build test race bench bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,13 @@ analyze:
 
 fmt:
 	gofmt -w .
+
+# The code-size number ROADMAP tracks: non-test Go lines in the serving
+# stack's packages.
+LOC_PKGS = internal/serve internal/fleet internal/autoscale internal/runner
+loc:
+	@n=$$(for d in $(LOC_PKGS); do ls $$d/*.go; done | grep -v '_test\.go$$' | xargs cat | wc -l); \
+		echo "$$n non-test Go lines in $(LOC_PKGS)"
 
 # Documentation gates: godoc coverage (the doccheck prerequisite) and
 # docs/*.md code-fence validity (go fences parse; make targets, go run

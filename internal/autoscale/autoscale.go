@@ -11,14 +11,20 @@
 // for joules per op (∝V²).
 //
 // The controller is a serial discrete-event loop — arrivals, round
-// completions, boot completions and fixed-width policy ticks — over the
-// same pure step costs the serving scheduler prices, so a run is
-// byte-identical at any runner parallelism, including under the race
-// detector. Per-replica scheduling reproduces internal/serve's
-// Orca-style continuous batching exactly: a replica's "round" admits
-// queued requests while batch slots and KV budget allow (one prefill
-// pass each), then runs one padded decode step for the running batch at
-// the longest bucketed context.
+// completions, boot completions and fixed-width policy ticks — so a run
+// is byte-identical at any runner parallelism, including under the race
+// detector. It runs internal/serve's continuous-batching engine
+// (serve.Engine): one shared FIFO queue and one serve.Batch per replica,
+// each "round" being serve's Orca-style round — admit queued requests
+// while batch slots and KV budget allow (one prefill pass each), then
+// one padded decode step at the longest bucketed context. The
+// controller owns only what the engine does not model: power states,
+// DVFS points, leakage accrual, and crash orphaning (a crashed batch
+// re-enters the shared queue at most serve.DefaultMaxRedispatch times
+// before it is shed). Replica fields the controller does not honor —
+// Observe, DVFS, MaxQueue, Retry, Faults, and the overload controls —
+// must be left zero, and Faults.TransientProb must be zero; Run rejects
+// them rather than ignoring them.
 //
 // Compare runs the same trace through the static PR 5 plan (every owned
 // replica always on, at full speed) and through the controller, and
@@ -34,9 +40,6 @@ import (
 	"mugi/internal/arch"
 	"mugi/internal/faults"
 	"mugi/internal/fleet"
-	"mugi/internal/model"
-	"mugi/internal/noc"
-	"mugi/internal/runner"
 	"mugi/internal/serve"
 	"mugi/internal/sim"
 )
@@ -129,7 +132,8 @@ func (s PowerState) String() string {
 type Config struct {
 	// Replica is the per-replica serving configuration at the *nominal*
 	// operating point (model, design, mesh, batch cap, KV budget). Its
-	// DVFS and Observe fields must be zero — the controller owns both.
+	// DVFS, Observe, Faults, MaxQueue, Retry and overload fields must be
+	// zero — the controller owns or does not model them.
 	Replica serve.Config
 	// MinReplicas is the floor the policy may never drain below
 	// (default 1; must be ≥ 1 so queued work always has an owner).
@@ -162,12 +166,11 @@ type Config struct {
 	// from the spec (replica i's timeline is a pure function of
 	// (Faults.Seed, i)): fail-stop crashes that orphan the in-flight
 	// batch back to the controller queue, boot attempts that fail back
-	// to Off, and straggler replicas whose rounds run slower. Requires
-	// Replica.Faults to be nil — the controller owns the schedules.
+	// to Off, and straggler replicas whose rounds run slower. Transient
+	// dispatch errors are not modeled: TransientProb must be zero.
+	// Crash-orphaned requests re-queue at most serve.DefaultMaxRedispatch
+	// times before they are shed.
 	Faults faults.Spec
-	// MaxRedispatch bounds how many times a crash-orphaned request is
-	// re-queued before it is shed (default serve.DefaultMaxRedispatch).
-	MaxRedispatch int
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -198,12 +201,7 @@ func (c Config) withDefaults() Config {
 	if c.WindowWidth == 0 {
 		c.WindowWidth = serve.DefaultWindowWidth
 	}
-	if c.Replica.Mesh.Nodes() == 0 {
-		c.Replica.Mesh = noc.Single
-	}
-	if c.MaxRedispatch == 0 {
-		c.MaxRedispatch = serve.DefaultMaxRedispatch
-	}
+	c.Replica = c.Replica.WithDefaults()
 	return c
 }
 
@@ -279,21 +277,6 @@ type Report struct {
 	PerReplicaRate float64
 }
 
-// request is one in-flight request in the controller's pooled arena.
-type reqState struct {
-	req       serve.Request
-	generated int
-	firstAt   float64
-}
-
-// stepShape keys the workload memo, exactly as in internal/serve.
-type stepShape struct {
-	model  model.Config
-	decode bool
-	batch  int
-	ctx    int
-}
-
 // replica is one replica's controller-side state.
 type replica struct {
 	state     PowerState
@@ -302,8 +285,7 @@ type replica struct {
 	busyUntil float64 // round end (valid while busy)
 	bootReady float64 // boot completion (valid while Booting)
 	accrued   float64 // wall clock up to which static power is billed
-	kvInUse   int64
-	active    []int32 // running batch: arena indices
+	batch     serve.Batch
 
 	// Fault state (zero when the run injects none).
 	slow      float64         // straggler step multiplier (1 when healthy)
@@ -315,107 +297,34 @@ type replica struct {
 
 // controller is the pooled run state.
 type controller struct {
-	states []reqState
-	free   []int32
-	queue  []int32
-	qhead  int
-	reps   []replica
+	eng  serve.Engine // the shared queue and every replica's rounds
+	reps []replica
 
 	params   []sim.Params // per ladder point
 	idleLeak []float64    // static watts per ladder point
 
 	tickArrivals []int // prescanned arrivals per tick window
-
-	ttft, lat serve.Hist
-
-	workloads map[stepShape]model.Workload
 }
 
-var ctrlPool = sync.Pool{
-	New: func() any {
-		return &controller{workloads: make(map[stepShape]model.Workload)}
-	},
-}
+var ctrlPool = sync.Pool{New: func() any { return new(controller) }}
 
-// getController borrows a reset controller; the workload memo survives
-// resets deliberately (shapes are config-keyed and reusable forever).
+// getController borrows a reset controller.
 func getController(replicas int) *controller {
 	c := ctrlPool.Get().(*controller)
-	c.states = c.states[:0]
-	c.free = c.free[:0]
-	c.queue = c.queue[:0]
-	c.qhead = 0
 	if cap(c.reps) < replicas {
 		c.reps = make([]replica, replicas)
 	} else {
 		c.reps = c.reps[:replicas]
 	}
 	for i := range c.reps {
-		act := c.reps[i].active
-		if act == nil {
-			act = []int32{}
-		}
-		c.reps[i] = replica{active: act[:0]}
+		b := c.reps[i].batch
+		b.Reset()
+		c.reps[i] = replica{batch: b}
 	}
 	c.params = c.params[:0]
 	c.idleLeak = c.idleLeak[:0]
 	c.tickArrivals = c.tickArrivals[:0]
-	c.ttft.Reset()
-	c.lat.Reset()
 	return c
-}
-
-// alloc places a request in the arena and returns its index.
-func (c *controller) alloc(r serve.Request) int32 {
-	if n := len(c.free); n > 0 {
-		idx := c.free[n-1]
-		c.free = c.free[:n-1]
-		c.states[idx] = reqState{req: r}
-		return idx
-	}
-	c.states = append(c.states, reqState{req: r})
-	return int32(len(c.states) - 1)
-}
-
-func (c *controller) release(idx int32) { c.free = append(c.free, idx) }
-
-func (c *controller) qlen() int { return len(c.queue) - c.qhead }
-
-// qpush/qpop/qpeek: the amortized-O(1) FIFO of internal/serve.
-func (c *controller) qpush(idx int32) {
-	if c.qhead == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qhead = 0
-	} else if c.qhead > 32 && c.qhead > len(c.queue)/2 {
-		n := copy(c.queue, c.queue[c.qhead:])
-		c.queue = c.queue[:n]
-		c.qhead = 0
-	}
-	c.queue = append(c.queue, idx)
-}
-
-func (c *controller) qpeek() int32 { return c.queue[c.qhead] }
-
-func (c *controller) qpop() int32 {
-	idx := c.queue[c.qhead]
-	c.qhead++
-	return idx
-}
-
-// workload memoizes operator-list construction per quantized step shape.
-func (c *controller) workload(m model.Config, decode bool, batch, ctx int) model.Workload {
-	k := stepShape{model: m, decode: decode, batch: batch, ctx: ctx}
-	if w, ok := c.workloads[k]; ok {
-		return w
-	}
-	var w model.Workload
-	if decode {
-		w = m.DecodeOps(batch, ctx)
-	} else {
-		w = m.PrefillOps(batch, ctx)
-	}
-	c.workloads[k] = w
-	return w
 }
 
 // calibrate measures the full-speed single-replica capacity the policies
@@ -473,6 +382,15 @@ func validateConfig(cfg Config) error {
 	if cfg.Replica.Admission != nil || cfg.Replica.Brownout != nil || cfg.Replica.ClientRetry.Enabled() {
 		return fmt.Errorf("autoscale: Replica admission/brownout/client-retry must be unset — overload control and autoscaling both steer capacity, compose them through fleet.Run")
 	}
+	if cfg.Replica.MaxQueue != 0 {
+		return fmt.Errorf("autoscale: Replica.MaxQueue must be 0 — the controller's queue is unbounded")
+	}
+	if cfg.Replica.Retry != (serve.RetryPolicy{}) {
+		return fmt.Errorf("autoscale: Replica.Retry must be unset — crash orphans re-queue at most serve.DefaultMaxRedispatch times")
+	}
+	if cfg.Replica.Faults != nil {
+		return fmt.Errorf("autoscale: Replica.Faults must be nil — the controller owns the schedules (set Config.Faults)")
+	}
 	if cfg.MinReplicas < 1 {
 		return fmt.Errorf("autoscale: min replicas %d must be at least 1", cfg.MinReplicas)
 	}
@@ -488,11 +406,8 @@ func validateConfig(cfg Config) error {
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
 	}
-	if cfg.Faults.Enabled() && cfg.Replica.Faults != nil {
-		return fmt.Errorf("autoscale: Config.Faults and Replica.Faults are mutually exclusive — the controller owns the schedules")
-	}
-	if cfg.MaxRedispatch < 0 {
-		return fmt.Errorf("autoscale: redispatch budget %d must be non-negative", cfg.MaxRedispatch)
+	if cfg.Faults.TransientProb > 0 {
+		return fmt.Errorf("autoscale: Faults.TransientProb must be 0 — the controller does not model transient dispatch errors")
 	}
 	return nil
 }
@@ -527,37 +442,14 @@ func (c *controller) prescan(cfg Config, tc serve.TraceConfig) (lastArrival floa
 // bookkeeping (admission, energy, completions) happens at round *start*,
 // with busyUntil marking when the results become visible.
 func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float64) (Report, error) {
-	mdl := cfg.Replica.Model
-	if err := mdl.Validate(); err != nil {
-		return Report{}, err
-	}
-	stepFn := cfg.Replica.Simulate
-	if stepFn == nil {
-		stepFn = runner.Simulate
-	}
-	maxBatch := cfg.Replica.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = serve.DefaultMaxBatch
-	}
-	kvBudget := cfg.Replica.KVBudgetBytes
-	if kvBudget == 0 {
-		kvBudget = serve.DefaultKVBudgetBytes
-	}
-	bucket := cfg.Replica
-	if bucket.CtxBucket == 0 {
-		bucket.CtxBucket = serve.DefaultCtxBucket
-	}
-
 	// Per-ladder-point simulation params and idle static power. A busy or
 	// idle replica at point i leaks idleLeak[i]; a booting replica leaks
 	// at the nominal point (index 0) — it is powering up the full rail.
 	nodes := cfg.Replica.Mesh.SpeedupFactor()
+	params := cfg.Replica.Params()
 	for _, p := range cfg.Ladder {
-		c.params = append(c.params, sim.Params{
-			Design: cfg.Replica.Design, Mesh: cfg.Replica.Mesh,
-			Bandwidth: cfg.Replica.Bandwidth, NoCBandwidth: cfg.Replica.NoCBandwidth,
-			DVFS: p,
-		})
+		params.DVFS = p
+		c.params = append(c.params, params)
 		cost := arch.Cost45nm.AtDVFS(p)
 		c.idleLeak = append(c.idleLeak,
 			cfg.Replica.Design.LeakageWatts(cost)*nodes+cfg.Replica.Mesh.LeakageWatts(cost))
@@ -590,7 +482,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	total := src.Len()
 
 	rep := Report{
-		Model: mdl.Name, Design: cfg.Replica.Design.Name, Mesh: cfg.Replica.Mesh.String(),
+		Model: cfg.Replica.Model.Name, Design: cfg.Replica.Design.Name, Mesh: cfg.Replica.Mesh.String(),
 		Trace: src.Info(), Policy: cfg.Policy.Name(),
 		Requests: total, MinReplicas: cfg.MinReplicas, MaxReplicas: cfg.MaxReplicas,
 		PerReplicaRate: perReplicaRate,
@@ -598,28 +490,16 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	wins := serve.NewWindows(serve.WindowSpec{Width: cfg.WindowWidth, TTFT: cfg.SLO.TTFT, Latency: cfg.SLO.Latency})
 	wins.Reserve(lastArrival)
 	rep.Windows = wins
-
-	perToken := serve.KVBytesPerToken(mdl)
-	need := func(r serve.Request) int64 { return perToken * int64(r.Prompt+r.Output) }
-	validate := func(r serve.Request) error {
-		if r.Prompt < 1 || r.Output < 1 {
-			return fmt.Errorf("autoscale: request %d has empty prompt or output", r.ID)
-		}
-		if mdl.MaxSeq > 0 && r.Prompt+r.Output-1 > mdl.MaxSeq {
-			return fmt.Errorf("autoscale: request %d spans %d tokens, model %q holds %d", r.ID, r.Prompt+r.Output, mdl.Name, mdl.MaxSeq)
-		}
-		if need(r) > kvBudget {
-			return fmt.Errorf("autoscale: request %d needs %d KV bytes, budget %d", r.ID, need(r), kvBudget)
-		}
-		return nil
+	rc := cfg.Replica
+	rc.Observe = wins.Observe
+	if err := c.eng.Reset(rc); err != nil {
+		return Report{}, err
 	}
 
 	var (
 		now        float64
-		batchSum   int
 		busyTick   float64 // busy replica-seconds attributed to the current tick
 		arrivals   int     // arrivals in the current tick
-		dynEnergy  float64
 		leakEnergy float64
 	)
 
@@ -654,76 +534,20 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		}
 	}
 
-	complete := func(rp *replica, st *reqState, doneAt float64) {
-		rp.kvInUse -= need(st.req)
-		c.lat.Add(doneAt - st.req.Arrival)
-		c.ttft.Add(st.firstAt - st.req.Arrival)
-		wins.Observe(st.req, st.firstAt, doneAt)
-		rep.Completed++
-	}
-
-	// startRound runs one scheduler round on rp beginning at t: admit
-	// (Active only) with one prefill pass per admission, then one padded
-	// decode step. All costs and completions are computed here; the
-	// round's wall span [t, end] is what the replica is busy for.
+	// startRound runs one engine round on rp beginning at t — admitting
+	// only while Active — at the replica's operating point and straggler
+	// factor. The round's wall span [t, end] is what the replica is busy
+	// for, billed up front.
 	startRound := func(rp *replica, t float64) {
-		start := t
 		pt := rp.point
-		if rp.state == Active {
-			for c.qlen() > 0 && len(rp.active) < maxBatch {
-				st := &c.states[c.qpeek()]
-				if rp.kvInUse+need(st.req) > kvBudget {
-					break
-				}
-				idx := c.qpop()
-				rp.kvInUse += need(st.req)
-				res := stepFn(c.params[pt], c.workload(mdl, false, 1, bucket.BucketCtx(st.req.Prompt)))
-				t += res.Seconds * rp.slow
-				dynEnergy += res.DynamicEnergy
-				rep.PrefillSteps++
-				st.firstAt = t
-				st.generated = 1
-				if st.generated == st.req.Output {
-					complete(rp, st, t)
-					c.release(idx)
-				} else {
-					rp.active = append(rp.active, idx)
-				}
-			}
-		}
-		if len(rp.active) > 0 {
-			maxCtx := 0
-			for _, idx := range rp.active {
-				st := &c.states[idx]
-				if ctx := st.req.Prompt + st.generated; ctx > maxCtx {
-					maxCtx = ctx
-				}
-			}
-			res := stepFn(c.params[pt], c.workload(mdl, true, len(rp.active), bucket.BucketCtx(maxCtx)))
-			t += res.Seconds * rp.slow
-			dynEnergy += res.DynamicEnergy
-			rep.DecodeSteps++
-			batchSum += len(rp.active)
-			remaining := rp.active[:0]
-			for _, idx := range rp.active {
-				st := &c.states[idx]
-				st.generated++
-				if st.generated >= st.req.Output {
-					complete(rp, st, t)
-					c.release(idx)
-				} else {
-					remaining = append(remaining, idx)
-				}
-			}
-			rp.active = remaining
-		}
-		if t > start {
+		end := c.eng.Round(&rp.batch, c.params[pt], t, rp.slow, rp.state == Active)
+		if end > t {
 			rp.busy = true
-			rp.busyUntil = t
-			busyTick += t - start
-			rep.ActiveSeconds += t - start
-			leakEnergy += c.idleLeak[pt] * (t - start)
-			rp.accrued = t
+			rp.busyUntil = end
+			busyTick += end - t
+			rep.ActiveSeconds += end - t
+			leakEnergy += c.idleLeak[pt] * (end - t)
+			rp.accrued = end
 		}
 	}
 
@@ -747,7 +571,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 
 	pending, havePending := src.Next()
 	if havePending {
-		if err := validate(pending); err != nil {
+		if err := c.eng.Validate(pending); err != nil {
 			return Report{}, err
 		}
 	}
@@ -766,12 +590,12 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			case Off, Failed, Repairing:
 				// Unpowered (or dead): counts toward no pool.
 			}
-			inflight += len(c.reps[i].active)
+			inflight += c.reps[i].batch.Len()
 		}
 		return
 	}
 
-	for rep.Completed+rep.Shed < total {
+	for c.eng.Settled() < total {
 		// Next event time: the earliest of pending arrival, any boot
 		// completion, any round end, any repair completion, any due
 		// crash, and the policy tick.
@@ -827,13 +651,13 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		// 2. Arrivals.
 		for havePending && pending.Arrival <= now {
 			arrivals++
-			c.qpush(c.alloc(pending))
-			if q := c.qlen(); q > rep.PeakQueue {
+			c.eng.Push(pending)
+			if q := c.eng.Queued(); q > rep.PeakQueue {
 				rep.PeakQueue = q
 			}
 			pending, havePending = src.Next()
 			if havePending {
-				if err := validate(pending); err != nil {
+				if err := c.eng.Validate(pending); err != nil {
 					return Report{}, err
 				}
 			}
@@ -862,23 +686,9 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				if rp.haveDown && rp.down.Start <= now && poweredState(rp.state) && !rp.busy {
 					accrue(rp, now)
 					rep.Crashes++
-					for _, idx := range rp.active {
-						st := &c.states[idx]
-						if st.req.Retries >= cfg.MaxRedispatch {
-							rep.Shed++
-							c.release(idx)
-							continue
-						}
-						st.req.Retries++
-						rep.Redispatched++
-						st.generated = 0
-						st.firstAt = 0
-						c.qpush(idx)
-					}
-					rp.active = rp.active[:0]
-					rp.kvInUse = 0
+					c.eng.Orphan(&rp.batch)
 					rp.state = Failed
-					if q := c.qlen(); q > rep.PeakQueue {
+					if q := c.eng.Queued(); q > rep.PeakQueue {
 						rep.PeakQueue = q
 					}
 				}
@@ -907,11 +717,11 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			ready, booting, draining, inflight := countStates()
 			obs := Observation{
 				Now: now, Tick: cfg.Tick,
-				QueueLen: c.qlen(), InFlight: inflight,
+				QueueLen: c.eng.Queued(), InFlight: inflight,
 				Ready: ready, Booting: booting, Draining: draining,
 				Powered:     ready + booting,
 				MinReplicas: cfg.MinReplicas, MaxReplicas: cfg.MaxReplicas,
-				BatchCap: maxBatch, Ladder: cfg.Ladder,
+				BatchCap: cfg.Replica.MaxBatch, Ladder: cfg.Ladder,
 				ArrivalRate:    float64(arrivals) / cfg.Tick,
 				ReplicaRate:    perReplicaRate,
 				PerReplicaRate: perReplicaRate,
@@ -938,21 +748,21 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 			}
 			switch rp.state {
 			case Draining:
-				if len(rp.active) > 0 {
+				if rp.batch.Len() > 0 {
 					startRound(rp, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Off
 				}
 			case Active:
-				if len(rp.active) > 0 || c.qlen() > 0 {
+				if rp.batch.Len() > 0 || c.eng.Queued() > 0 {
 					startRound(rp, now)
 				} else {
 					accrue(rp, now)
 					rp.state = Idle
 				}
 			case Idle:
-				if c.qlen() > 0 {
+				if c.eng.Queued() > 0 {
 					accrue(rp, now)
 					rp.state = Active
 					startRound(rp, now)
@@ -977,19 +787,18 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 		accrue(&c.reps[i], now)
 	}
 
+	s := c.eng.Summary()
+	rep.Completed, rep.Shed, rep.Redispatched = s.Completed, s.Shed, s.Redispatched
+	rep.PrefillSteps, rep.DecodeSteps, rep.MeanBatch = s.PrefillSteps, s.DecodeSteps, s.MeanBatch
+	rep.TTFT, rep.Latency = s.TTFT, s.Latency
 	rep.Horizon = now
-	rep.TTFT = c.ttft.Percentiles()
-	rep.Latency = c.lat.Percentiles()
 	rep.ViolationMinutes = wins.ViolationMinutes()
-	if rep.DecodeSteps > 0 {
-		rep.MeanBatch = float64(batchSum) / float64(rep.DecodeSteps)
-	}
 	if rep.Horizon > 0 {
 		rep.MeanActiveReplicas = rep.ActiveSeconds / rep.Horizon
 	}
-	rep.DynamicEnergy = dynEnergy
+	rep.DynamicEnergy = s.DynamicEnergy
 	rep.LeakageEnergy = leakEnergy
-	rep.TotalEnergy = dynEnergy + leakEnergy
+	rep.TotalEnergy = s.DynamicEnergy + leakEnergy
 	rep.FaultsOn = faulty
 	if faulty {
 		if rep.Requests > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mugi/internal/arch"
+	"mugi/internal/faults"
 	"mugi/internal/model"
 	"mugi/internal/noc"
 	"mugi/internal/overload"
@@ -225,6 +226,15 @@ func TestRunValidates(t *testing.T) {
 			c.Replica.Brownout = &overload.BrownoutSpec{Steps: overload.DefaultBrownoutSteps()}
 		}},
 		{"client retry set", func(c *Config) { c.Replica.ClientRetry = overload.ClientRetrySpec{MaxAttempts: 2} }},
+		{"max queue set", func(c *Config) { c.Replica.MaxQueue = 8 }},
+		{"retry set", func(c *Config) { c.Replica.Retry = serve.RetryPolicy{MaxRedispatch: 5} }},
+		{"replica faults set", func(c *Config) {
+			s, err := faults.New(faults.Spec{StragglerProb: 1, Seed: 1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Replica.Faults = s
+		}},
 		{"min zero", func(c *Config) { c.MinReplicas = -1 }},
 		{"max below min", func(c *Config) { c.MinReplicas = 3; c.MaxReplicas = 2 }},
 		{"max huge", func(c *Config) { c.MaxReplicas = MaxControllerReplicas + 1 }},

@@ -84,7 +84,7 @@ func RunStatic(cfg Config, tc serve.TraceConfig) (StaticReport, error) {
 		Policy:        fleet.JSQ,
 		Window:        serve.WindowSpec{Width: cfg.WindowWidth, TTFT: cfg.SLO.TTFT, Latency: cfg.SLO.Latency},
 		Faults:        cfg.Faults,
-		MaxRedispatch: cfg.MaxRedispatch,
+		MaxRedispatch: serve.DefaultMaxRedispatch,
 	}, src)
 	if err != nil {
 		return StaticReport{}, err

@@ -130,9 +130,9 @@ func TestFaultValidation(t *testing.T) {
 		t.Error("negative MTBF accepted")
 	}
 	cfg = baseCfg()
-	cfg.MaxRedispatch = -1
+	cfg.Faults = faults.Spec{TransientProb: 0.5, Seed: 1}
 	if _, err := Run(cfg, dayTrace(0.02)); err == nil {
-		t.Error("negative redispatch budget accepted")
+		t.Error("transient errors accepted — the controller would silently ignore them")
 	}
 	cfg = baseCfg()
 	cfg.Faults = faults.Spec{MTBF: 7200, Seed: 1}

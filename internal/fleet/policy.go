@@ -7,9 +7,7 @@ import (
 
 	"mugi/internal/faults"
 	"mugi/internal/overload"
-	"mugi/internal/runner"
 	"mugi/internal/serve"
-	"mugi/internal/sim"
 )
 
 // Policy selects how the router assigns arriving requests to replicas.
@@ -75,28 +73,14 @@ func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 // overestimated identically, which is all a load comparison needs.
 type estimator struct {
 	cfg       serve.Config
-	params    sim.Params
-	step      serve.StepFunc
 	prefill   map[int]float64 // bucketed prompt -> prefill seconds
 	decodeSec map[int]float64 // bucketed total ctx -> one decode-step seconds
 }
 
 func newEstimator(cfg serve.Config) *estimator {
-	if cfg.CtxBucket == 0 {
-		cfg.CtxBucket = serve.DefaultCtxBucket
-	}
-	step := cfg.Simulate
-	if step == nil {
-		step = runner.Simulate
-	}
+	cfg = cfg.WithDefaults()
 	return &estimator{
-		cfg: cfg,
-		params: sim.Params{
-			Design: cfg.Design, Mesh: cfg.Mesh,
-			Bandwidth: cfg.Bandwidth, NoCBandwidth: cfg.NoCBandwidth,
-			DVFS: cfg.DVFS,
-		},
-		step:      step,
+		cfg:       cfg,
 		prefill:   map[int]float64{},
 		decodeSec: map[int]float64{},
 	}
@@ -107,13 +91,13 @@ func (e *estimator) demand(r serve.Request) float64 {
 	p := e.cfg.BucketCtx(r.Prompt)
 	pre, ok := e.prefill[p]
 	if !ok {
-		pre = e.step(e.params, e.cfg.Model.PrefillOps(1, p)).Seconds
+		pre = e.cfg.Simulate(e.cfg.Params(), e.cfg.Model.PrefillOps(1, p)).Seconds
 		e.prefill[p] = pre
 	}
 	c := e.cfg.BucketCtx(r.Prompt + r.Output)
 	dec, ok := e.decodeSec[c]
 	if !ok {
-		dec = e.step(e.params, e.cfg.Model.DecodeOps(1, c)).Seconds
+		dec = e.cfg.Simulate(e.cfg.Params(), e.cfg.Model.DecodeOps(1, c)).Seconds
 		e.decodeSec[c] = dec
 	}
 	return pre + float64(r.Output-1)*dec

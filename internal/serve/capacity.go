@@ -102,7 +102,7 @@ type CapacityResult struct {
 // probe sequence is fully deterministic, so identical inputs return
 // byte-identical results at any runner parallelism.
 func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	spec = spec.withDefaults()
 	if spec.MinRate <= 0 || spec.MaxRate < spec.MinRate {
 		return CapacityResult{}, fmt.Errorf("serve: capacity bracket [%g, %g] invalid", spec.MinRate, spec.MaxRate)

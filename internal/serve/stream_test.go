@@ -124,8 +124,7 @@ func TestReportRendersTPOTNA(t *testing.T) {
 // when the queue never drains (sustained overload), keeping the backing
 // slice O(backlog) — and must preserve FIFO order across compactions.
 func TestQueueCompaction(t *testing.T) {
-	sc := getScheduler()
-	defer schedPool.Put(sc)
+	sc := new(Engine)
 	next := int32(0)   // next value to push
 	expect := int32(0) // next value qpop must yield
 	// Interleave pushes and pops so the queue always holds ~64 entries
@@ -133,7 +132,7 @@ func TestQueueCompaction(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		sc.qpush(next)
 		next++
-		if sc.qlen() > 64 {
+		if sc.Queued() > 64 {
 			if got := sc.qpop(); got != expect {
 				t.Fatalf("qpop = %d, want %d (FIFO order broken by compaction)", got, expect)
 			}
@@ -143,7 +142,7 @@ func TestQueueCompaction(t *testing.T) {
 	if c := cap(sc.queue); c > 4096 {
 		t.Errorf("queue backing slice grew to %d entries for a backlog of ~64", c)
 	}
-	for sc.qlen() > 0 {
+	for sc.Queued() > 0 {
 		if got := sc.qpop(); got != expect {
 			t.Fatalf("drain qpop = %d, want %d", got, expect)
 		}
