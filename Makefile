@@ -8,7 +8,7 @@ GO ?= go
 # the same check the workflow runs.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck loc ci
+.PHONY: build test race bench bench-json minuteserve minuteserve-json lint fmt doccheck docs-check analyze install-staticcheck loc perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -97,5 +97,12 @@ loc:
 docs-check: doccheck
 	$(GO) run ./tools/docscheck
 
+# The end-to-end benchmark (perfbench/) is a module of its own, so the
+# root ./... patterns never build it; vet and test it explicitly so an
+# API change it depends on cannot break it unseen.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 ci: STRICT = 1
-ci: lint build race bench minuteserve analyze docs-check
+ci: lint build race bench minuteserve analyze docs-check perfbench-check

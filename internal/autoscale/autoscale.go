@@ -35,6 +35,7 @@ package autoscale
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"mugi/internal/arch"
@@ -397,8 +398,11 @@ func validateConfig(cfg Config) error {
 	if cfg.MaxReplicas < cfg.MinReplicas || cfg.MaxReplicas > MaxControllerReplicas {
 		return fmt.Errorf("autoscale: max replicas %d outside [%d, %d]", cfg.MaxReplicas, cfg.MinReplicas, MaxControllerReplicas)
 	}
-	if cfg.Tick <= 0 {
-		return fmt.Errorf("autoscale: tick %g must be positive", cfg.Tick)
+	if !(cfg.Tick > 0) || math.IsInf(cfg.Tick, 1) {
+		return fmt.Errorf("autoscale: tick %g must be positive and finite", cfg.Tick)
+	}
+	if math.IsNaN(cfg.ScaleUpLag) || math.IsInf(cfg.ScaleUpLag, 1) {
+		return fmt.Errorf("autoscale: scale-up lag %g must be finite", cfg.ScaleUpLag)
 	}
 	if len(cfg.Ladder) == 0 || !cfg.Ladder[0].IsNominal() {
 		return fmt.Errorf("autoscale: ladder must be non-empty with the nominal point first")
@@ -722,9 +726,8 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 				Powered:     ready + booting,
 				MinReplicas: cfg.MinReplicas, MaxReplicas: cfg.MaxReplicas,
 				BatchCap: cfg.Replica.MaxBatch, Ladder: cfg.Ladder,
-				ArrivalRate:    float64(arrivals) / cfg.Tick,
-				ReplicaRate:    perReplicaRate,
-				PerReplicaRate: perReplicaRate,
+				ArrivalRate: float64(arrivals) / cfg.Tick,
+				ReplicaRate: perReplicaRate,
 			}
 			if ready > 0 {
 				obs.Utilization = busyTick / (float64(ready) * cfg.Tick)

@@ -239,6 +239,8 @@ func TestRunValidates(t *testing.T) {
 		{"max below min", func(c *Config) { c.MinReplicas = 3; c.MaxReplicas = 2 }},
 		{"max huge", func(c *Config) { c.MaxReplicas = MaxControllerReplicas + 1 }},
 		{"bad tick", func(c *Config) { c.Tick = -1 }},
+		{"NaN tick", func(c *Config) { c.Tick = math.NaN() }},
+		{"NaN scale-up lag", func(c *Config) { c.ScaleUpLag = math.NaN() }},
 		{"ladder without nominal", func(c *Config) {
 			c.Ladder = []arch.DVFSPoint{arch.DVFSStep("p50", 0.5)}
 		}},

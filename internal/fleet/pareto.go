@@ -1,12 +1,11 @@
 package fleet
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"mugi/internal/arch"
 	"mugi/internal/noc"
+	"mugi/internal/overload"
 	"mugi/internal/runner"
 	"mugi/internal/serve"
 )
@@ -23,23 +22,7 @@ const (
 // SLO bounds the latency tail a cell must hold to count as serving. A
 // zero field disables that bound; a zero SLO reduces the planner to a
 // pure goodput capacity search.
-type SLO struct {
-	// TTFTP99 caps the p99 time-to-first-token, in seconds.
-	TTFTP99 float64
-	// LatencyP99 caps the p99 request latency, in seconds.
-	LatencyP99 float64
-}
-
-// met reports whether a fleet report holds the SLO.
-func (s SLO) met(rep serve.Report) bool {
-	if s.TTFTP99 > 0 && rep.TTFT.P99 > s.TTFTP99 {
-		return false
-	}
-	if s.LatencyP99 > 0 && rep.Latency.P99 > s.LatencyP99 {
-		return false
-	}
-	return true
-}
+type SLO = overload.SLO
 
 // Cell is one (design, mesh, replica-count) point of a fleet sweep.
 type Cell struct {
@@ -69,32 +52,27 @@ type PlanSpec struct {
 	// Book prices each cell's operating point.
 	Book PriceBook
 	// Goodput, MinRate, MaxRate and Iters shape the per-cell capacity
-	// search exactly as in serve.CapacitySpec (defaults
-	// serve.DefaultGoodput, serve.DefaultMinRate, serve.DefaultMaxRate,
-	// DefaultPlanIters).
+	// search exactly as in serve.CapacitySpec, except that Iters
+	// defaults to DefaultPlanIters.
 	Goodput          float64
 	MinRate, MaxRate float64
 	Iters            int
 }
 
-// withDefaults materializes the zero-value defaults.
-func (s PlanSpec) withDefaults() PlanSpec {
-	if s.Trace.Requests == 0 {
-		s.Trace.Requests = DefaultPlanRequests
+// capacitySpec is the per-cell search spec, with the planner's own
+// probe-length and bisection defaults.
+func (s PlanSpec) capacitySpec() serve.CapacitySpec {
+	cs := serve.CapacitySpec{
+		Trace: s.Trace, Goodput: s.Goodput, MinRate: s.MinRate, MaxRate: s.MaxRate,
+		Iters: s.Iters, SLO: s.SLO,
 	}
-	if s.Goodput == 0 {
-		s.Goodput = serve.DefaultGoodput
+	if cs.Trace.Requests == 0 {
+		cs.Trace.Requests = DefaultPlanRequests
 	}
-	if s.MinRate == 0 {
-		s.MinRate = serve.DefaultMinRate
+	if cs.Iters == 0 {
+		cs.Iters = DefaultPlanIters
 	}
-	if s.MaxRate == 0 {
-		s.MaxRate = serve.DefaultMaxRate
-	}
-	if s.Iters == 0 {
-		s.Iters = DefaultPlanIters
-	}
-	return s
+	return cs
 }
 
 // Grid builds the cross-product cell list designs × meshes × replicas, in
@@ -136,31 +114,22 @@ type CellResult struct {
 }
 
 // Plan searches every cell's SLO-compliant capacity and prices it,
-// sharding cells across the runner pool. Each cell runs the same
-// geometric-bracket + log-bisection search as serve.FindCapacity, with
-// fleet.Run as the probe and "goodput held AND SLO met" as the pass
-// criterion. Results are collected by cell index, so output order —
-// and every byte of every report — is independent of parallelism.
+// sharding cells across the runner pool. Each cell runs serve.Search with
+// fleet.Run as the probe. Results are collected by cell index, so output
+// order — and every byte of every report — is independent of
+// parallelism.
 func Plan(spec PlanSpec) []CellResult {
-	spec = spec.withDefaults()
+	cs := spec.capacitySpec()
 	out := make([]CellResult, len(spec.Cells))
 	runner.Map(len(spec.Cells), func(i int) {
-		out[i] = planCell(spec, spec.Cells[i])
+		out[i] = planCell(spec, cs, spec.Cells[i])
 	})
 	return out
 }
 
-// planCell searches one cell.
-func planCell(spec PlanSpec, cell Cell) CellResult {
+// planCell searches and prices one cell.
+func planCell(spec PlanSpec, cs serve.CapacitySpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
-	if spec.MinRate <= 0 || spec.MaxRate < spec.MinRate {
-		res.Err = fmt.Errorf("fleet: capacity bracket [%g, %g] invalid", spec.MinRate, spec.MaxRate)
-		return res
-	}
-	if spec.Goodput <= 0 || spec.Goodput > 1 {
-		res.Err = fmt.Errorf("fleet: goodput %g must be in (0, 1]", spec.Goodput)
-		return res
-	}
 	cfg := Config{
 		Replica:          spec.Base,
 		Replicas:         cell.Replicas,
@@ -169,65 +138,11 @@ func planCell(spec PlanSpec, cell Cell) CellResult {
 	}
 	cfg.Replica.Design = cell.Design
 	cfg.Replica.Mesh = cell.Mesh
-
-	probe := func(rate float64) (Report, bool, error) {
-		tc := spec.Trace
-		tc.Rate = rate
-		src, err := serve.NewStream(tc)
-		if err != nil {
-			return Report{}, false, err
-		}
+	res.Capacity, res.At, res.Probes, res.Err = serve.Search(cs, func(src serve.Stream) (Report, serve.Report, error) {
 		rep, err := Run(cfg, src)
-		if err != nil {
-			return Report{}, false, err
-		}
-		pass := rep.Fleet.SustainedRate >= spec.Goodput*rep.Fleet.OfferedRate && spec.SLO.met(rep.Fleet)
-		return rep, pass, nil
-	}
-
-	rep, ok, err := probe(spec.MinRate)
-	res.Probes++
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	if ok {
-		res.Capacity, res.At = spec.MinRate, rep
-		// Geometric doubling until a rate fails (or the bracket tops out).
-		hi := spec.MinRate
-		for ok && hi < spec.MaxRate {
-			hi = math.Min(hi*2, spec.MaxRate)
-			rep, ok, err = probe(hi)
-			res.Probes++
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			if ok {
-				res.Capacity, res.At = hi, rep
-			}
-		}
-		if !ok {
-			// Log-space bisection between last passing and first failing.
-			lo := res.Capacity
-			for i := 0; i < spec.Iters; i++ {
-				mid := math.Sqrt(lo * hi)
-				rep, ok, err = probe(mid)
-				res.Probes++
-				if err != nil {
-					res.Err = err
-					return res
-				}
-				if ok {
-					lo = mid
-					res.Capacity, res.At = mid, rep
-				} else {
-					hi = mid
-				}
-			}
-		}
-	}
-	if res.Capacity == 0 {
+		return rep, rep.Fleet, err
+	})
+	if res.Err != nil || res.Capacity == 0 {
 		return res
 	}
 	tco, err := Price(spec.Book, cell.Design, cell.Mesh, cell.Replicas, res.At.Fleet)

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"mugi/internal/arch"
@@ -82,8 +84,8 @@ func TestPlanHonorsSLO(t *testing.T) {
 	if bound.Capacity == unconstrained.Capacity {
 		t.Errorf("quartered TTFT SLO did not bind (capacity %v)", bound.Capacity)
 	}
-	if bound.Capacity > 0 && !base.SLO.met(bound.At.Fleet) {
-		t.Error("reported operating point violates the (empty) base SLO")
+	if bound.Capacity > 0 && !tight.SLO.Met(bound.At.Fleet.TTFT.P99, bound.At.Fleet.Latency.P99) {
+		t.Error("reported operating point violates the SLO it was searched under")
 	}
 }
 
@@ -111,5 +113,72 @@ func TestPlanReplicasBuyCapacity(t *testing.T) {
 	}
 	if one.PerfPerDollar <= 0 || one.PerfPerWatt <= 0 {
 		t.Errorf("efficiency metrics not populated: %v %v", one.PerfPerDollar, one.PerfPerWatt)
+	}
+}
+
+// TestPlanOneReplicaMatchesFindCapacity: a one-replica JSQ cell searched
+// through fleet.Run finds exactly what serve.FindCapacity finds through
+// RunStream — same capacity, same probe count, same at-capacity report —
+// with and without a binding SLO. This is what lets MinuteServe score
+// one- and N-replica entries alike.
+func TestPlanOneReplicaMatchesFindCapacity(t *testing.T) {
+	base := serve.Config{Model: model.Llama2_7B}
+	trace := serve.TraceConfig{Kind: serve.Poisson, Requests: 12, Seed: testSeed}
+	for _, d := range []arch.Design{arch.Mugi(256), arch.SystolicArray(16, true)} {
+		for _, m := range []noc.Mesh{noc.Single, noc.NewMesh(2, 2)} {
+			cfg := base
+			cfg.Design, cfg.Mesh = d, m
+			free, err := serve.FindCapacity(cfg, serve.CapacitySpec{Trace: trace, Iters: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			floor, err := serve.FindCapacity(cfg, serve.CapacitySpec{Trace: trace, MaxRate: serve.DefaultMinRate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A latency bound halfway between the floor probe's tail and
+			// the unconstrained capacity's tail passes the floor and
+			// fails before the goodput rule does.
+			bound := SLO{LatencyP99: (floor.AtCapacity.Latency.P99 + free.AtCapacity.Latency.P99) / 2}
+			for _, slo := range []SLO{{}, bound} {
+				want, err := serve.FindCapacity(cfg, serve.CapacitySpec{Trace: trace, Iters: 3, SLO: slo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slo == bound && !(want.Capacity > 0 && want.Capacity < free.Capacity) {
+					t.Fatalf("%s %s: SLO %+v does not bind (capacity %g, unconstrained %g)",
+						d.Name, m, slo, want.Capacity, free.Capacity)
+				}
+				got := Plan(PlanSpec{
+					Base: base, Cells: []Cell{{Design: d, Mesh: m, Replicas: 1}}, Policy: JSQ,
+					Trace: trace, Iters: 3, SLO: slo,
+				})[0]
+				if got.Err != nil {
+					t.Fatal(got.Err)
+				}
+				if got.Capacity != want.Capacity || got.Probes != want.Probes {
+					t.Errorf("%s %s SLO %+v: plan %g in %d probes, FindCapacity %g in %d",
+						d.Name, m, slo, got.Capacity, got.Probes, want.Capacity, want.Probes)
+				}
+				if !reflect.DeepEqual(got.At.Fleet, want.AtCapacity) {
+					t.Errorf("%s %s SLO %+v: at-capacity reports differ:\nplan %+v\nserve %+v",
+						d.Name, m, slo, got.At.Fleet, want.AtCapacity)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanValidates: a search spec serve.Search rejects comes back as the
+// cell's error, not as a zero capacity.
+func TestPlanValidates(t *testing.T) {
+	res := Plan(PlanSpec{
+		Base:    serve.Config{Model: model.Llama2_7B},
+		Cells:   []Cell{{Design: arch.Mugi(256), Mesh: noc.NewMesh(2, 2), Replicas: 1}},
+		Trace:   serve.TraceConfig{Kind: serve.Poisson, Requests: 4, Seed: testSeed},
+		Goodput: math.NaN(),
+	})[0]
+	if res.Err == nil {
+		t.Errorf("NaN goodput planned capacity %g in %d probes without an error", res.Capacity, res.Probes)
 	}
 }

@@ -13,9 +13,10 @@
 // model, arrival process, seed, SLO bounds, goodput threshold, probe
 // shape, minute length, and the default fleet.PriceBook. An entry may
 // vary only what Entry encodes. Everything downstream is deterministic —
-// the capacity search reuses serve.FindCapacity (single replica) and
-// fleet.Plan (multi-replica), the leaderboard shards entries across
-// runner.Map, and artifacts are byte-identical at any parallelism.
+// the capacity search is serve.Search over serve.RunStream (single
+// replica) or the JSQ fleet.Run (multi-replica), the leaderboard shards
+// entries across runner.Map, and artifacts are byte-identical at any
+// parallelism.
 package minuteserve
 
 import (
@@ -28,6 +29,7 @@ import (
 	"mugi/internal/fleet"
 	"mugi/internal/model"
 	"mugi/internal/noc"
+	"mugi/internal/overload"
 	"mugi/internal/runner"
 	"mugi/internal/serve"
 )
@@ -251,34 +253,33 @@ func Run(e Entry) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("minuteserve: %w", err)
 	}
-	base := serve.Config{Model: RulesModel()}
+	// One serving function runs both the capacity probes and the scored
+	// minute: RunStream for a single replica (a one-replica fleet.Run
+	// gives the same report at about twice the allocations), the JSQ
+	// fleet otherwise. It returns its report twice, as the search's
+	// result and as the report the pass rule judges.
+	cfg := serve.Config{Model: RulesModel(), Design: d, Mesh: mesh}
+	run := func(src serve.Stream) (serve.Report, serve.Report, error) {
+		rep, err := serve.RunStream(cfg, src)
+		return rep, rep, err
+	}
+	if e.Replicas > 1 {
+		fcfg := fleet.Config{Replica: cfg, Replicas: e.Replicas, Policy: fleet.JSQ}
+		run = func(src serve.Stream) (serve.Report, serve.Report, error) {
+			frep, err := fleet.Run(fcfg, src)
+			return frep.Fleet, frep.Fleet, err
+		}
+	}
 	probeTrace := serve.TraceConfig{
 		Kind: serve.Poisson, Requests: ProbeRequests, Seed: Seed, Lengths: lengths,
 	}
 	rep := Report{Schema: SchemaReport, RulesHash: RulesHash(), Entry: e}
-
-	if e.Replicas == 1 {
-		cfg := base
-		cfg.Design, cfg.Mesh = d, mesh
-		res, err := serve.FindCapacity(cfg, serve.CapacitySpec{
-			Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
-			TTFTP99: TTFTP99, LatencyP99: LatencyP99,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		rep.Capacity, rep.Probes = res.Capacity, res.Probes
-	} else {
-		cells := []fleet.Cell{{Design: d, Mesh: mesh, Replicas: e.Replicas}}
-		results := fleet.Plan(fleet.PlanSpec{
-			Base: base, Cells: cells, Policy: fleet.JSQ,
-			Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
-			SLO: fleet.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
-		})
-		if results[0].Err != nil {
-			return Report{}, results[0].Err
-		}
-		rep.Capacity, rep.Probes = results[0].Capacity, results[0].Probes
+	rep.Capacity, _, rep.Probes, err = serve.Search(serve.CapacitySpec{
+		Trace: probeTrace, Goodput: Goodput, Iters: ProbeIters,
+		SLO: overload.SLO{TTFTP99: TTFTP99, LatencyP99: LatencyP99},
+	}, run)
+	if err != nil {
+		return Report{}, err
 	}
 
 	if rep.Capacity == 0 {
@@ -298,18 +299,7 @@ func Run(e Entry) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if e.Replicas == 1 {
-		cfg := base
-		cfg.Design, cfg.Mesh = d, mesh
-		rep.Minute, err = serve.RunStream(cfg, src)
-	} else {
-		cfg := fleet.Config{Replica: base, Replicas: e.Replicas, Policy: fleet.JSQ}
-		cfg.Replica.Design, cfg.Replica.Mesh = d, mesh
-		var frep fleet.Report
-		frep, err = fleet.Run(cfg, src)
-		rep.Minute = frep.Fleet
-	}
-	if err != nil {
+	if rep.Minute, _, err = run(src); err != nil {
 		return Report{}, err
 	}
 

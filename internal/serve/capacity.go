@@ -1,10 +1,11 @@
 // Capacity search: the serving question inverted. Instead of "what does
-// this hardware do at rate r", FindCapacity binary-searches the highest
-// arrival rate a (design, mesh) cell sustains — the headline a deployment
-// is sized by — and SearchCapacity shards a grid of cells across the
-// runner pool. Every probe is a deterministic RunStream over a seeded
-// trace, and the search path depends only on probe outcomes, so results
-// are byte-identical at any parallelism.
+// this hardware do at rate r", Search finds the highest arrival rate a
+// configuration sustains — the headline a deployment is sized by.
+// FindCapacity runs it with a RunStream probe, SearchCapacity shards a
+// grid of cells across the runner pool, and internal/fleet runs the same
+// Search with a fleet probe. Every probe is a deterministic serving run
+// over a seeded trace, and the search path depends only on probe
+// outcomes, so results are byte-identical at any parallelism.
 
 package serve
 
@@ -14,6 +15,7 @@ import (
 
 	"mugi/internal/arch"
 	"mugi/internal/noc"
+	"mugi/internal/overload"
 	"mugi/internal/runner"
 )
 
@@ -51,12 +53,10 @@ type CapacitySpec struct {
 	// Iters is the bisection count after geometric bracketing (default
 	// DefaultCapacityIters).
 	Iters int
-	// TTFTP99 and LatencyP99, when positive, additionally require each
-	// probe's p99 tail (seconds) to hold the bound — the SLO-bound
-	// capacity search a MinuteServe entry is scored by. Zero disables a
-	// bound, leaving the pure goodput criterion byte-identical to earlier
-	// releases.
-	TTFTP99, LatencyP99 float64
+	// SLO additionally requires each probe's p99 tails to hold its
+	// bounds — the SLO-bound capacity search a MinuteServe entry is
+	// scored by. The zero SLO leaves the pure goodput criterion.
+	SLO overload.SLO
 }
 
 // withDefaults materializes the zero-value defaults.
@@ -79,6 +79,20 @@ func (s CapacitySpec) withDefaults() CapacitySpec {
 	return s
 }
 
+// validate rejects a defaulted spec the search cannot run.
+func (s CapacitySpec) validate() error {
+	if !(s.MinRate > 0) || math.IsInf(s.MaxRate, 0) || !(s.MaxRate >= s.MinRate) {
+		return fmt.Errorf("serve: capacity bracket [%g, %g] invalid", s.MinRate, s.MaxRate)
+	}
+	if !(s.Goodput > 0 && s.Goodput <= 1) {
+		return fmt.Errorf("serve: goodput %g must be in (0, 1]", s.Goodput)
+	}
+	if s.Iters < 0 {
+		return fmt.Errorf("serve: capacity iterations %d must be non-negative", s.Iters)
+	}
+	return nil
+}
+
 // CapacityResult is one searched cell.
 type CapacityResult struct {
 	// Design and Mesh identify the cell.
@@ -96,88 +110,77 @@ type CapacityResult struct {
 	Err error
 }
 
-// FindCapacity binary-searches the maximum sustained request rate of one
-// configuration: geometric doubling brackets the capacity between a
-// passing and a failing rate, then log-space bisection narrows it. The
-// probe sequence is fully deterministic, so identical inputs return
-// byte-identical results at any runner parallelism.
-func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
-	cfg = cfg.WithDefaults()
+// Search is the one capacity search every planner runs: geometric
+// doubling from MinRate brackets the capacity between a passing and a
+// failing rate, then Iters log-space bisections narrow it. Each probe
+// serves spec.Trace at the probed rate through probe, which returns its
+// own result and the report judged by the pass rule: sustained rate at
+// least Goodput × offered rate, with spec.SLO met on the p99 tails. It
+// returns the highest passing rate (0 if even MinRate fails), that
+// probe's result and the probe count; on a probe error it returns them
+// as far as the search got. The probe sequence depends only on probe
+// outcomes, so a deterministic probe gives byte-identical results at any
+// runner parallelism.
+func Search[R any](spec CapacitySpec, probe func(Stream) (R, Report, error)) (capacity float64, at R, probes int, err error) {
 	spec = spec.withDefaults()
-	if spec.MinRate <= 0 || spec.MaxRate < spec.MinRate {
-		return CapacityResult{}, fmt.Errorf("serve: capacity bracket [%g, %g] invalid", spec.MinRate, spec.MaxRate)
+	if err := spec.validate(); err != nil {
+		return 0, at, 0, err
 	}
-	if spec.Goodput <= 0 || spec.Goodput > 1 {
-		return CapacityResult{}, fmt.Errorf("serve: goodput %g must be in (0, 1]", spec.Goodput)
-	}
-	res := CapacityResult{Design: cfg.Design.Name, Mesh: cfg.Mesh.String()}
-	probe := func(rate float64) (Report, bool, error) {
+	try := func(rate float64) (bool, error) {
+		probes++
 		tc := spec.Trace
 		tc.Rate = rate
 		src, err := NewStream(tc)
 		if err != nil {
-			return Report{}, false, err
+			return false, err
 		}
-		rep, err := RunStream(cfg, src)
+		r, rep, err := probe(src)
 		if err != nil {
-			return Report{}, false, err
+			return false, err
 		}
-		pass := rep.SustainedRate >= spec.Goodput*rep.OfferedRate
-		if spec.TTFTP99 > 0 && rep.TTFT.P99 > spec.TTFTP99 {
-			pass = false
+		ok := rep.SustainedRate >= spec.Goodput*rep.OfferedRate && spec.SLO.Met(rep.TTFT.P99, rep.Latency.P99)
+		if ok {
+			capacity, at = rate, r
 		}
-		if spec.LatencyP99 > 0 && rep.Latency.P99 > spec.LatencyP99 {
-			pass = false
-		}
-		return rep, pass, nil
+		return ok, nil
 	}
 
-	rep, ok, err := probe(spec.MinRate)
-	res.Probes++
-	if err != nil {
-		return res, err
-	}
-	if !ok {
-		// Even the lower bracket overloads the cell.
-		return res, nil
-	}
-	res.Capacity, res.AtCapacity = spec.MinRate, rep
-
+	ok, err := try(spec.MinRate)
 	// Geometric doubling until a rate fails (or the bracket tops out).
 	hi := spec.MinRate
-	for ok && hi < spec.MaxRate {
+	for err == nil && ok && hi < spec.MaxRate {
 		hi = math.Min(hi*2, spec.MaxRate)
-		rep, ok, err = probe(hi)
-		res.Probes++
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			res.Capacity, res.AtCapacity = hi, rep
-		}
+		ok, err = try(hi)
 	}
-	if ok {
-		// Sustained at MaxRate itself; the search saturates there.
-		return res, nil
+	if err != nil || capacity == 0 || ok {
+		// A probe failed, even the floor overloads the cell, or the
+		// search saturates at MaxRate.
+		return capacity, at, probes, err
 	}
-
 	// Log-space bisection between the last passing and first failing rate.
-	lo := res.Capacity
-	for i := 0; i < spec.Iters; i++ {
+	lo := capacity
+	for i := 0; i < spec.Iters && err == nil; i++ {
 		mid := math.Sqrt(lo * hi)
-		rep, ok, err = probe(mid)
-		res.Probes++
-		if err != nil {
-			return res, err
-		}
-		if ok {
+		if ok, err = try(mid); ok {
 			lo = mid
-			res.Capacity, res.AtCapacity = mid, rep
 		} else {
 			hi = mid
 		}
 	}
-	return res, nil
+	return capacity, at, probes, err
+}
+
+// FindCapacity searches the maximum sustained request rate of one
+// configuration, probing with RunStream (see Search).
+func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
+	cfg = cfg.WithDefaults()
+	res := CapacityResult{Design: cfg.Design.Name, Mesh: cfg.Mesh.String()}
+	var err error
+	res.Capacity, res.AtCapacity, res.Probes, err = Search(spec, func(src Stream) (Report, Report, error) {
+		rep, err := RunStream(cfg, src)
+		return rep, rep, err
+	})
+	return res, err
 }
 
 // CapacityCell is one (design, mesh) point of a sharded capacity search.

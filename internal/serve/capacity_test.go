@@ -2,10 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mugi/internal/arch"
 	"mugi/internal/noc"
+	"mugi/internal/overload"
 	"mugi/internal/runner"
 )
 
@@ -77,16 +79,28 @@ func TestFindCapacityUnsustainableFloor(t *testing.T) {
 	}
 }
 
+// TestFindCapacityValidates: a spec the search cannot run is an error,
+// never a wrong capacity with a nil error (or a hang on NaN arrivals).
 func TestFindCapacityValidates(t *testing.T) {
-	spec := capSpec()
-	spec.MinRate, spec.MaxRate = 4, 2
-	if _, err := FindCapacity(baseConfig(), spec); err == nil {
-		t.Error("inverted bracket should fail")
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		mut  func(*CapacitySpec)
+	}{
+		{"inverted bracket", func(s *CapacitySpec) { s.MinRate, s.MaxRate = 4, 2 }},
+		{"goodput above 1", func(s *CapacitySpec) { s.Goodput = 1.5 }},
+		{"goodput NaN", func(s *CapacitySpec) { s.Goodput = nan }},
+		{"min rate NaN", func(s *CapacitySpec) { s.MinRate = nan }},
+		{"max rate NaN", func(s *CapacitySpec) { s.MaxRate = nan }},
+		{"max rate infinite", func(s *CapacitySpec) { s.MaxRate = math.Inf(1) }},
+		{"negative iters", func(s *CapacitySpec) { s.Iters = -1 }},
 	}
-	spec = capSpec()
-	spec.Goodput = 1.5
-	if _, err := FindCapacity(baseConfig(), spec); err == nil {
-		t.Error("goodput above 1 should fail")
+	for _, tc := range cases {
+		spec := capSpec()
+		tc.mut(&spec)
+		if res, err := FindCapacity(baseConfig(), spec); err == nil {
+			t.Errorf("%s: accepted, capacity %g after %d probes", tc.name, res.Capacity, res.Probes)
+		}
 	}
 }
 
@@ -101,7 +115,7 @@ func TestFindCapacitySLOBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	loose := capSpec()
-	loose.TTFTP99, loose.LatencyP99 = 1e6, 1e6
+	loose.SLO = overload.SLO{TTFTP99: 1e6, LatencyP99: 1e6}
 	if res, err := FindCapacity(baseConfig(), loose); err != nil {
 		t.Fatal(err)
 	} else if res.Capacity != base.Capacity || res.Probes != base.Probes {
@@ -109,7 +123,7 @@ func TestFindCapacitySLOBounds(t *testing.T) {
 			res.Capacity, res.Probes, base.Capacity, base.Probes)
 	}
 	tight := capSpec()
-	tight.TTFTP99 = base.AtCapacity.TTFT.P99 * 0.5
+	tight.SLO.TTFTP99 = base.AtCapacity.TTFT.P99 * 0.5
 	bounded, err := FindCapacity(baseConfig(), tight)
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +132,12 @@ func TestFindCapacitySLOBounds(t *testing.T) {
 		t.Errorf("tail bound did not lower capacity: %.6f >= %.6f",
 			bounded.Capacity, base.Capacity)
 	}
-	if bounded.Capacity > 0 && bounded.AtCapacity.TTFT.P99 > tight.TTFTP99 {
+	if bounded.Capacity > 0 && bounded.AtCapacity.TTFT.P99 > tight.SLO.TTFTP99 {
 		t.Errorf("capacity probe violates its own bound: TTFT p99 %.4f > %.4f",
-			bounded.AtCapacity.TTFT.P99, tight.TTFTP99)
+			bounded.AtCapacity.TTFT.P99, tight.SLO.TTFTP99)
 	}
 	impossible := capSpec()
-	impossible.TTFTP99 = 1e-9
+	impossible.SLO.TTFTP99 = 1e-9
 	res, err := FindCapacity(baseConfig(), impossible)
 	if err != nil {
 		t.Fatal(err)

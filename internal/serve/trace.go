@@ -397,8 +397,8 @@ type genStream struct {
 // generator. NewTrace is exactly this stream drained into a slice, so a
 // streamed run and a materialized run see identical requests.
 func NewStream(cfg TraceConfig) (Stream, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("serve: trace rate %g must be positive", cfg.Rate)
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("serve: trace rate %g must be positive and finite", cfg.Rate)
 	}
 	if cfg.Requests < 1 {
 		return nil, fmt.Errorf("serve: trace needs at least one request, got %d", cfg.Requests)

@@ -32,6 +32,13 @@ func TestTraceValidates(t *testing.T) {
 			t.Errorf("config %+v should fail", cfg)
 		}
 	}
+	// A non-finite rate gives non-finite arrivals, which a serving run
+	// never drains; the stream constructor itself must refuse it.
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewStream(TraceConfig{Kind: Poisson, Rate: rate, Requests: 4}); err == nil {
+			t.Errorf("NewStream accepted rate %g", rate)
+		}
+	}
 }
 
 func TestTraceDeterministicAndOrdered(t *testing.T) {

@@ -293,7 +293,7 @@ func ServeStream(cfg ServeConfig, src TraceStream) (ServeReport, error) {
 }
 
 // CapacitySpec parameterizes a capacity search (probe-trace template,
-// goodput threshold, rate bracket, bisection count).
+// goodput threshold, rate bracket, bisection count, p99 SLO).
 type CapacitySpec = serve.CapacitySpec
 
 // CapacityResult is one searched (design, mesh) cell: the maximum
