@@ -59,7 +59,7 @@ const (
 	// benchSchema versions the consolidated trajectory file.
 	benchSchema = "mugi-perf-trajectory/3"
 	// benchLabel names the entry this build's -json run writes.
-	benchLabel = "pr10"
+	benchLabel = "pr14"
 )
 
 // fallbackHistory seeds the trajectory when the committed BENCH.json is

@@ -42,7 +42,6 @@ import (
 	"mugi/internal/faults"
 	"mugi/internal/fleet"
 	"mugi/internal/serve"
-	"mugi/internal/sim"
 )
 
 // Controller defaults.
@@ -301,8 +300,7 @@ type controller struct {
 	eng  serve.Engine // the shared queue and every replica's rounds
 	reps []replica
 
-	params   []sim.Params // per ladder point
-	idleLeak []float64    // static watts per ladder point
+	idleLeak []float64 // static watts per ladder point
 
 	tickArrivals []int // prescanned arrivals per tick window
 }
@@ -322,7 +320,6 @@ func getController(replicas int) *controller {
 		b.Reset()
 		c.reps[i] = replica{batch: b}
 	}
-	c.params = c.params[:0]
 	c.idleLeak = c.idleLeak[:0]
 	c.tickArrivals = c.tickArrivals[:0]
 	return c
@@ -351,8 +348,8 @@ func calibrate(cfg Config, tc serve.TraceConfig) (float64, error) {
 // The whole loop is serial — arrivals, round ends, boot completions and
 // policy ticks are processed in deterministic order at each event time —
 // so the report is byte-identical at any runner parallelism. Step costs
-// go through the replica's StepFunc (default runner.Simulate, memoized),
-// and steady-state ticks allocate nothing on top of the warmed step.
+// go through the replica's StepFunc once per (shape, ladder point) per
+// run, and steady-state ticks allocate nothing on top of the warmed step.
 func Run(cfg Config, tc serve.TraceConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	if err := validateConfig(cfg); err != nil {
@@ -446,14 +443,11 @@ func (c *controller) prescan(cfg Config, tc serve.TraceConfig) (lastArrival floa
 // bookkeeping (admission, energy, completions) happens at round *start*,
 // with busyUntil marking when the results become visible.
 func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float64) (Report, error) {
-	// Per-ladder-point simulation params and idle static power. A busy or
-	// idle replica at point i leaks idleLeak[i]; a booting replica leaks
-	// at the nominal point (index 0) — it is powering up the full rail.
+	// Per-ladder-point idle static power. A busy or idle replica at point
+	// i leaks idleLeak[i]; a booting replica leaks at the nominal point
+	// (index 0) — it is powering up the full rail.
 	nodes := cfg.Replica.Mesh.SpeedupFactor()
-	params := cfg.Replica.Params()
 	for _, p := range cfg.Ladder {
-		params.DVFS = p
-		c.params = append(c.params, params)
 		cost := arch.Cost45nm.AtDVFS(p)
 		c.idleLeak = append(c.idleLeak,
 			cfg.Replica.Design.LeakageWatts(cost)*nodes+cfg.Replica.Mesh.LeakageWatts(cost))
@@ -544,7 +538,7 @@ func (c *controller) run(cfg Config, tc serve.TraceConfig, perReplicaRate float6
 	// for, billed up front.
 	startRound := func(rp *replica, t float64) {
 		pt := rp.point
-		end := c.eng.Round(&rp.batch, c.params[pt], t, rp.slow, rp.state == Active)
+		end := c.eng.Round(&rp.batch, cfg.Ladder[pt], t, rp.slow, rp.state == Active)
 		if end > t {
 			rp.busy = true
 			rp.busyUntil = end

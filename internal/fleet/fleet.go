@@ -31,6 +31,7 @@ package fleet
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"mugi/internal/arch"
 	"mugi/internal/faults"
@@ -240,7 +241,11 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 	}
 	info := src.Info()
 
-	stats := make([]serve.RunStats, cfg.Replicas)
+	pooled := statsPool.Get().(*[]serve.RunStats)
+	defer statsPool.Put(pooled)
+	// Zeroed: a replica that serves nothing is read as the zero value.
+	*pooled = append((*pooled)[:0], make([]serve.RunStats, cfg.Replicas)...)
+	stats := *pooled
 	errs := make([]error, cfg.Replicas)
 	var wins []*serve.Windows
 	if cfg.Window.Width > 0 {
@@ -486,6 +491,11 @@ func Run(cfg Config, src serve.Stream) (Report, error) {
 	}
 	return out, nil
 }
+
+// statsPool recycles fleet.Run's per-replica RunStats slices: each
+// RunStats carries nine fixed-grid histograms (~75 KB), and a capacity
+// search runs the fleet hundreds of times.
+var statsPool = sync.Pool{New: func() any { return new([]serve.RunStats) }}
 
 // ReplicaLeakageWatts is the static power of one idle replica at the
 // nominal operating point: its full silicon (nodes plus NoC routers)

@@ -67,8 +67,9 @@ func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 
 // estimator prices a request's service demand for the JSQ virtual clock.
 // Costs come from the replica's own StepFunc at batch 1 on the quantized
-// step-shape grid, memoized locally per shape, so routing a long trace
-// prices O(MaxSeq/CtxBucket) shapes, not O(requests). Batch-1 pricing
+// step-shape grid (serve.StepWorkload), memoized locally per shape, so
+// routing a long trace prices O(MaxSeq/CtxBucket) shapes, not
+// O(requests). Batch-1 pricing
 // overestimates batched decode throughput, but every replica is
 // overestimated identically, which is all a load comparison needs.
 type estimator struct {
@@ -91,13 +92,13 @@ func (e *estimator) demand(r serve.Request) float64 {
 	p := e.cfg.BucketCtx(r.Prompt)
 	pre, ok := e.prefill[p]
 	if !ok {
-		pre = e.cfg.Simulate(e.cfg.Params(), e.cfg.Model.PrefillOps(1, p)).Seconds
+		pre = e.cfg.Simulate(e.cfg.Params(), serve.StepWorkload(e.cfg.Model, false, 1, p)).Seconds
 		e.prefill[p] = pre
 	}
 	c := e.cfg.BucketCtx(r.Prompt + r.Output)
 	dec, ok := e.decodeSec[c]
 	if !ok {
-		dec = e.cfg.Simulate(e.cfg.Params(), e.cfg.Model.DecodeOps(1, c)).Seconds
+		dec = e.cfg.Simulate(e.cfg.Params(), serve.StepWorkload(e.cfg.Model, true, 1, c)).Seconds
 		e.decodeSec[c] = dec
 	}
 	return pre + float64(r.Output-1)*dec

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"mugi/internal/arch"
 	"mugi/internal/model"
 	"mugi/internal/overload"
 	"mugi/internal/sim"
@@ -56,6 +57,27 @@ func workload(k stepShape) model.Workload {
 	return w
 }
 
+// StepWorkload is the operator list of one step of model m, from the
+// process-wide memo the engine prices through.
+func StepWorkload(m model.Config, decode bool, batch, ctx int) model.Workload {
+	return workload(stepShape{m, decode, batch, ctx})
+}
+
+// stepKey identifies one step within a run: the engine's Config fixes
+// every other input of its cost. dvfs indexes Engine.dvfs.
+type stepKey struct {
+	batch, ctx int32
+	dvfs       uint16
+	decode     bool
+}
+
+// stepCost is the part of a sim.Result a round consumes, kept small so
+// the step table stores it inline.
+type stepCost struct {
+	seconds, energy, leakage float64
+	nocLimited               bool
+}
+
 // timedQueue holds deferred deliveries — failed dispatches awaiting
 // re-delivery, shed clients awaiting re-arrival — in readyAt order, kept
 // by insertion: they are rare events, so the shift is bounded by the
@@ -97,11 +119,6 @@ func (q *timedQueue[T]) pop() timed[T] {
 type Batch struct {
 	active  []int32
 	kvInUse int64
-	// shape and ops are the batch's previous decode step: a decode shape
-	// repeats until the batch changes or its context crosses a bucket,
-	// so most steps skip the shared memo and its lock.
-	shape stepShape
-	ops   model.Workload
 }
 
 // Len is the number of resident requests.
@@ -121,8 +138,14 @@ func (b *Batch) Reset() {
 // drives one engine — one shared queue — with a Batch per replica. Reset
 // configures an engine for a run; steady-state rounds allocate nothing.
 type Engine struct {
-	cfg      Config // defaulted
-	perToken int64  // KV bytes per resident token
+	cfg      Config     // defaulted
+	params   sim.Params // cfg.Params(); a round's DVFS point replaces DVFS
+	perToken int64      // KV bytes per resident token
+
+	// steps is the run's step-cost table; dvfs lists the run's DVFS
+	// points in first-use order.
+	steps map[stepKey]stepCost
+	dvfs  []arch.DVFSPoint
 
 	states []reqState // arena; batches and the queue hold indices into it
 	free   []int32    // freed arena slots for reuse
@@ -160,7 +183,12 @@ func (e *Engine) Reset(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	e.cfg, e.perToken = cfg, KVBytesPerToken(cfg.Model)
+	e.cfg, e.params, e.perToken = cfg, cfg.Params(), KVBytesPerToken(cfg.Model)
+	if e.steps == nil {
+		e.steps = make(map[stepKey]stepCost)
+	}
+	clear(e.steps)
+	e.dvfs = e.dvfs[:0]
 	e.states, e.free, e.queue, e.qhead = e.states[:0], e.free[:0], e.queue[:0], 0
 	e.batch.Reset()
 	e.ttft.Reset()
@@ -295,6 +323,9 @@ func (e *Engine) Validate(r Request) error {
 		return fmt.Errorf("serve: request %d spans %d tokens, model %q holds %d — use a shorter length profile",
 			r.ID, r.Prompt+r.Output, m.Name, m.MaxSeq)
 	}
+	if r.Prompt+r.Output > math.MaxInt32 {
+		return fmt.Errorf("serve: request %d spans %d tokens, past the step table's int32 context", r.ID, r.Prompt+r.Output)
+	}
 	if e.need(r) > e.cfg.KVBudgetBytes {
 		return fmt.Errorf("serve: request %d needs %d KV bytes, budget %d — it can never be scheduled",
 			r.ID, e.need(r), e.cfg.KVBudgetBytes)
@@ -373,18 +404,38 @@ func (e *Engine) complete(b *Batch, r *reqState, now float64) {
 	}
 }
 
-// step prices one pass at p, accumulates its energy, and returns the
-// time it ends when started at t on a replica slowed by slow.
-func (e *Engine) step(p sim.Params, w model.Workload, t, slow float64) float64 {
-	res := e.cfg.Simulate(p, w)
-	e.rep.DynamicEnergy += res.DynamicEnergy
-	e.leakage = res.LeakageWatts
-	if res.NoCLimited {
+// step prices step k, accumulates its energy, and returns the time it
+// ends when started at t on a replica slowed by slow. Only a key's first
+// step in a run calls cfg.Simulate; later ones read the step table.
+func (e *Engine) step(k stepKey, t, slow float64) float64 {
+	c, ok := e.steps[k]
+	if !ok {
+		p := e.params
+		p.DVFS = e.dvfs[k.dvfs]
+		res := e.cfg.Simulate(p, workload(stepShape{e.cfg.Model, k.decode, int(k.batch), int(k.ctx)}))
+		c = stepCost{res.Seconds, res.DynamicEnergy, res.LeakageWatts, res.NoCLimited}
+		e.steps[k] = c
+	}
+	e.rep.DynamicEnergy += c.energy
+	e.leakage = c.leakage
+	if c.nocLimited {
 		e.rep.NoCLimitedSteps++
 	}
 	// A straggler stretches wall time; multiplying by exactly 1.0 is
 	// bit-exact, so healthy replicas keep their golden outputs.
-	return t + res.Seconds*slow
+	return t + c.seconds*slow
+}
+
+// dvfsSlot returns p's index in e.dvfs, adding it on first use. A run
+// sees a handful of points, so the scan is short.
+func (e *Engine) dvfsSlot(p arch.DVFSPoint) uint16 {
+	for i, q := range e.dvfs {
+		if q == p {
+			return uint16(i)
+		}
+	}
+	e.dvfs = append(e.dvfs, p)
+	return uint16(len(e.dvfs) - 1)
 }
 
 // Round runs one scheduler round of batch b starting at simulated time t
@@ -392,12 +443,13 @@ func (e *Engine) step(p sim.Params, w model.Workload, t, slow float64) float64 {
 // requests in FIFO order while a batch slot and the KV budget allow (one
 // prefill pass per request, which also yields its first output token);
 // then it runs one decode step for the whole batch at the longest
-// bucketed context (padded batching). Every step is priced at p through
-// Config.Simulate with its latency stretched by slow; completed requests
-// free their KV reservation at once.
+// bucketed context (padded batching). Every step is priced at the
+// Config's params at DVFS point dvfs, its latency stretched by slow;
+// completed requests free their KV reservation at once.
 //
 //mugi:noalloc
-func (e *Engine) Round(b *Batch, p sim.Params, t, slow float64, admit bool) float64 {
+func (e *Engine) Round(b *Batch, dvfs arch.DVFSPoint, t, slow float64, admit bool) float64 {
+	d := e.dvfsSlot(dvfs)
 	for admit && e.Queued() > 0 && len(b.active) < e.cfg.MaxBatch {
 		idx := e.qpeek()
 		r := &e.states[idx]
@@ -425,7 +477,7 @@ func (e *Engine) Round(b *Batch, p sim.Params, t, slow float64, admit bool) floa
 		if b.kvInUse > e.rep.PeakKVBytes {
 			e.rep.PeakKVBytes = b.kvInUse
 		}
-		t = e.step(p, workload(stepShape{e.cfg.Model, false, 1, e.bucket(r.req.Prompt)}), t, slow)
+		t = e.step(stepKey{1, int32(e.bucket(r.req.Prompt)), d, false}, t, slow)
 		e.rep.PrefillSteps++
 		r.firstAt = t
 		r.generated = 1
@@ -446,10 +498,7 @@ func (e *Engine) Round(b *Batch, p sim.Params, t, slow float64, admit bool) floa
 			maxCtx = ctx
 		}
 	}
-	if k := (stepShape{e.cfg.Model, true, len(b.active), e.bucket(maxCtx)}); k != b.shape {
-		b.shape, b.ops = k, workload(k)
-	}
-	t = e.step(p, b.ops, t, slow)
+	t = e.step(stepKey{int32(len(b.active)), int32(e.bucket(maxCtx)), d, true}, t, slow)
 	e.rep.DecodeSteps++
 	e.batchSum += len(b.active)
 	remaining := b.active[:0]

@@ -74,14 +74,14 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// StepFunc computes one pass cost; the default is runner.Simulate so step
-// costs are memoized through the content-keyed cache and sweeps that
-// revisit a (batch, context) point — across arrival rates, meshes, or
-// designs — pay for it once. The cache is bounded (two generations of
-// runner.DefaultCacheCapacity entries, LRU-ish by generation), so
-// arbitrarily long traces cannot grow it without bound; runner.ResetCache
-// remains available for benchmarks that want a cold start, and injecting
-// sim.Simulate directly skips memoization entirely.
+// StepFunc computes one pass cost. It must be a pure function of its
+// inputs: each engine calls it once per distinct step shape and DVFS
+// point per run and reuses the result for every later step of that
+// shape. The default is runner.Simulate, whose bounded content-keyed
+// cache lets runs that revisit a shape — across arrival rates, meshes,
+// designs or probes — pay for it once per process; injecting
+// sim.Simulate still prices each shape once per run, without the
+// cross-run cache.
 type StepFunc func(sim.Params, model.Workload) sim.Result
 
 // Config bundles the serving-simulation inputs.
@@ -114,7 +114,7 @@ type Config struct {
 	// on-chip op by v² — the autoscaler's latency-for-joules trade.
 	DVFS arch.DVFSPoint
 	// Simulate computes step costs (default runner.Simulate, memoized
-	// through the bounded cache).
+	// through the bounded cache); see StepFunc for its contract.
 	Simulate StepFunc
 	// Observe, when non-nil, is called once per completed request with its
 	// first-token and completion times (absolute simulated seconds; the
@@ -559,7 +559,7 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 		}
 		adm = overload.NewAdmission(aspec)
 	}
-	params := cfg.Params()
+	dvfs := cfg.DVFS
 
 	rep := &e.rep
 	rep.Model, rep.Design, rep.Mesh = cfg.Model.Name, cfg.Design.Name, cfg.Mesh.String()
@@ -771,9 +771,9 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 			st := boSpec.Step(lvl)
 			e.bucketScale = max(st.CtxBucketScale, 1)
 			if st.DVFS == (arch.DVFSPoint{}) {
-				params.DVFS = cfg.DVFS
+				dvfs = cfg.DVFS
 			} else {
-				params.DVFS = st.DVFS
+				dvfs = st.DVFS
 			}
 		}
 		if q := e.Queued(); q > rep.PeakQueue {
@@ -791,7 +791,7 @@ func runStream(cfg Config, src Stream) (RunStats, error) {
 			now = next
 			continue
 		}
-		now = e.Round(&e.batch, params, now, slowdown, true)
+		now = e.Round(&e.batch, dvfs, now, slowdown, true)
 	}
 
 	if lastArrival > 0 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -72,6 +73,17 @@ func TestRunValidates(t *testing.T) {
 	}}
 	if _, err := Run(short, over); err == nil {
 		t.Error("request past the model's context window should fail")
+	}
+	// A model with no declared window still cannot outgrow the int32
+	// step-table key.
+	unbounded := baseConfig()
+	unbounded.Model.MaxSeq = 0
+	unbounded.KVBudgetBytes = math.MaxInt64
+	huge := Trace{Kind: Poisson, Rate: 1, Requests: []Request{
+		{ID: 0, Arrival: 0, Prompt: math.MaxInt32, Output: 1},
+	}}
+	if _, err := Run(unbounded, huge); err == nil {
+		t.Error("request past the step key's context range should fail")
 	}
 }
 

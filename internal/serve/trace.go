@@ -393,11 +393,15 @@ type genStream struct {
 	shares []float64
 }
 
+// finiteAbove reports whether x is finite and exceeds lo; NaN fails, so
+// a knob that would stall the generator never passes.
+func finiteAbove(x, lo float64) bool { return x > lo && !math.IsInf(x, 1) }
+
 // NewStream validates the config and returns the lazy seeded request
 // generator. NewTrace is exactly this stream drained into a slice, so a
 // streamed run and a materialized run see identical requests.
 func NewStream(cfg TraceConfig) (Stream, error) {
-	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+	if !finiteAbove(cfg.Rate, 0) {
 		return nil, fmt.Errorf("serve: trace rate %g must be positive and finite", cfg.Rate)
 	}
 	if cfg.Requests < 1 {
@@ -415,48 +419,48 @@ func NewStream(cfg TraceConfig) (Stream, error) {
 		if cfg.BurstFactor == 0 {
 			cfg.BurstFactor = 4
 		}
-		if cfg.BurstFactor <= 1 {
-			return nil, fmt.Errorf("serve: burst factor %g must exceed 1", cfg.BurstFactor)
+		if !finiteAbove(cfg.BurstFactor, 1) {
+			return nil, fmt.Errorf("serve: burst factor %g must be finite and exceed 1", cfg.BurstFactor)
 		}
 	case Diurnal:
 		if cfg.Period == 0 {
 			cfg.Period = 60
 		}
-		if cfg.Period < 0 {
-			return nil, fmt.Errorf("serve: diurnal period %g must be positive", cfg.Period)
+		if !finiteAbove(cfg.Period, 0) {
+			return nil, fmt.Errorf("serve: diurnal period %g must be positive and finite", cfg.Period)
 		}
 		if cfg.Swing == 0 {
 			cfg.Swing = 0.8
 		}
-		if cfg.Swing < 0 || cfg.Swing >= 1 {
+		if !(cfg.Swing >= 0 && cfg.Swing < 1) {
 			return nil, fmt.Errorf("serve: diurnal swing %g must be in [0,1)", cfg.Swing)
 		}
 	case Flashcrowd, Retrystorm:
 		if cfg.SurgeFactor == 0 {
 			cfg.SurgeFactor = 4
 		}
-		if cfg.SurgeFactor <= 1 {
-			return nil, fmt.Errorf("serve: surge factor %g must exceed 1", cfg.SurgeFactor)
+		if !finiteAbove(cfg.SurgeFactor, 1) {
+			return nil, fmt.Errorf("serve: surge factor %g must be finite and exceed 1", cfg.SurgeFactor)
 		}
 		if cfg.SurgeSpan == 0 {
 			cfg.SurgeSpan = 120
 		}
-		if cfg.SurgeSpan <= 0 {
-			return nil, fmt.Errorf("serve: surge span %g must be positive", cfg.SurgeSpan)
+		if !finiteAbove(cfg.SurgeSpan, 0) {
+			return nil, fmt.Errorf("serve: surge span %g must be positive and finite", cfg.SurgeSpan)
 		}
 		if cfg.SurgePeriod == 0 {
 			cfg.SurgePeriod = 600
 		}
-		if cfg.SurgePeriod <= 0 {
-			return nil, fmt.Errorf("serve: surge period %g must be positive", cfg.SurgePeriod)
+		if !finiteAbove(cfg.SurgePeriod, 0) {
+			return nil, fmt.Errorf("serve: surge period %g must be positive and finite", cfg.SurgePeriod)
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown trace kind %v", cfg.Kind)
 	}
 	total := 0.0
 	for _, t := range cfg.Tenants {
-		if t.Share <= 0 {
-			return nil, fmt.Errorf("serve: tenant %s share %g must be positive", t.Class, t.Share)
+		if !finiteAbove(t.Share, 0) {
+			return nil, fmt.Errorf("serve: tenant %s share %g must be positive and finite", t.Class, t.Share)
 		}
 		total += t.Share
 	}

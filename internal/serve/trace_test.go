@@ -32,11 +32,34 @@ func TestTraceValidates(t *testing.T) {
 			t.Errorf("config %+v should fail", cfg)
 		}
 	}
-	// A non-finite rate gives non-finite arrivals, which a serving run
-	// never drains; the stream constructor itself must refuse it.
-	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := NewStream(TraceConfig{Kind: Poisson, Rate: rate, Requests: 4}); err == nil {
-			t.Errorf("NewStream accepted rate %g", rate)
+	// A non-finite knob gives non-finite (or never-advancing) arrivals,
+	// which a serving run never drains; the stream constructor itself
+	// must refuse each one.
+	nan, inf := math.NaN(), math.Inf(1)
+	nonFinite := []struct {
+		name string
+		cfg  TraceConfig
+	}{
+		{"NaN rate", TraceConfig{Kind: Poisson, Rate: nan}},
+		{"+Inf rate", TraceConfig{Kind: Poisson, Rate: inf}},
+		{"NaN burst factor", TraceConfig{Kind: Bursty, BurstFactor: nan}},
+		{"NaN period", TraceConfig{Kind: Diurnal, Period: nan}},
+		{"+Inf period", TraceConfig{Kind: Diurnal, Period: inf}},
+		{"NaN swing", TraceConfig{Kind: Diurnal, Swing: nan}},
+		{"NaN surge factor", TraceConfig{Kind: Flashcrowd, SurgeFactor: nan}},
+		{"NaN surge span", TraceConfig{Kind: Flashcrowd, SurgeSpan: nan}},
+		{"NaN surge period", TraceConfig{Kind: Retrystorm, SurgePeriod: nan}},
+		{"NaN tenant share", TraceConfig{Kind: Poisson, Tenants: []TenantSpec{{Share: nan}}}},
+		{"+Inf tenant share", TraceConfig{Kind: Poisson, Tenants: []TenantSpec{{Share: inf}}}},
+	}
+	for _, tt := range nonFinite {
+		cfg := tt.cfg
+		if cfg.Rate == 0 {
+			cfg.Rate = 1
+		}
+		cfg.Requests = 50
+		if _, err := NewStream(cfg); err == nil {
+			t.Errorf("NewStream accepted %s", tt.name)
 		}
 	}
 }
