@@ -59,7 +59,7 @@ const (
 	// benchSchema versions the consolidated trajectory file.
 	benchSchema = "mugi-perf-trajectory/3"
 	// benchLabel names the entry this build's -json run writes.
-	benchLabel = "pr14"
+	benchLabel = "pr15"
 )
 
 // fallbackHistory seeds the trajectory when the committed BENCH.json is

@@ -75,19 +75,17 @@ func ApproxImpl(name string, exp, act nonlinear.Approximator) Impl {
 	}
 }
 
-// VLPImpl builds the Mugi implementation: a VLP exp whose sliding window is
-// selected per score row by the hardware E-proc policy, plus a VLP
-// activation with a mass-selected window.
+// VLPImpl builds the Mugi implementation: a VLP exp whose sliding window
+// core.Approx.Softmax selects per score row by the hardware E-proc max
+// policy, plus a VLP activation evaluated in its initial window (the top
+// of its LUT).
 func VLPImpl(expCfg, actCfg core.Config) Impl {
 	expA := core.New(expCfg)
 	actA := core.New(actCfg)
 	return Impl{
-		Name: "VLP",
-		Softmax: func(dst, xs []float64) {
-			expA.SelectWindowMax(xs)
-			expA.Softmax(dst, xs)
-		},
-		Act: actA.Approx,
+		Name:    "VLP",
+		Softmax: func(dst, xs []float64) { expA.Softmax(dst, xs) },
+		Act:     actA.Approx,
 	}
 }
 
@@ -95,15 +93,17 @@ func VLPImpl(expCfg, actCfg core.Config) Impl {
 // weights and the evaluation token stream are fixed by the config seed, so
 // loss differences between Impls are purely approximation error.
 type Proxy struct {
-	cfg     ProxyConfig
-	embed   *tensor.Matrix // vocab × dim
-	wq      []*tensor.Matrix
-	wk      []*tensor.Matrix
-	wv      []*tensor.Matrix
-	wo      []*tensor.Matrix
-	w1      []*tensor.Matrix // dim × ffn
-	w2      []*tensor.Matrix // ffn × dim
-	wout    *tensor.Matrix   // dim × vocab
+	cfg   ProxyConfig
+	embed *tensor.Matrix // vocab × dim
+	// The GEMM weights are drawn as float32 and held widened, so every
+	// forward pass reads them without a per-MAC conversion.
+	wq      []*tensor.Wide
+	wk      []*tensor.Wide
+	wv      []*tensor.Wide
+	wo      []*tensor.Wide
+	w1      []*tensor.Wide // dim × ffn
+	w2      []*tensor.Wide // ffn × dim
+	wout    *tensor.Wide   // dim × vocab
 	tokens  []int
 	targets []int
 	smProf  dist.Profile
@@ -204,14 +204,14 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	std := 1 / math.Sqrt(float64(cfg.Dim))
 	p.embed = tensor.RandNormal(rng, cfg.Vocab, cfg.Dim, 1)
 	for l := 0; l < cfg.Layers; l++ {
-		p.wq = append(p.wq, tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std))
-		p.wk = append(p.wk, tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std))
-		p.wv = append(p.wv, tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std))
-		p.wo = append(p.wo, tensor.RandNormal(rng, cfg.Dim, cfg.Dim, std))
-		p.w1 = append(p.w1, tensor.RandNormal(rng, cfg.Dim, cfg.FFN, std))
-		p.w2 = append(p.w2, tensor.RandNormal(rng, cfg.FFN, cfg.Dim, std/2))
+		p.wq = append(p.wq, tensor.RandNormalWide(rng, cfg.Dim, cfg.Dim, std))
+		p.wk = append(p.wk, tensor.RandNormalWide(rng, cfg.Dim, cfg.Dim, std))
+		p.wv = append(p.wv, tensor.RandNormalWide(rng, cfg.Dim, cfg.Dim, std))
+		p.wo = append(p.wo, tensor.RandNormalWide(rng, cfg.Dim, cfg.Dim, std))
+		p.w1 = append(p.w1, tensor.RandNormalWide(rng, cfg.Dim, cfg.FFN, std))
+		p.w2 = append(p.w2, tensor.RandNormalWide(rng, cfg.FFN, cfg.Dim, std/2))
 	}
-	p.wout = tensor.RandNormal(rng, cfg.Dim, cfg.Vocab, std)
+	p.wout = tensor.RandNormalWide(rng, cfg.Dim, cfg.Vocab, std)
 	p.tokens = make([]int, cfg.SeqLen+1)
 	for i := range p.tokens {
 		p.tokens[i] = rng.Intn(cfg.Vocab)
@@ -339,9 +339,9 @@ func (p *Proxy) forward(s *fwdScratch, impls LayerImpls, headParallel bool) *ten
 	for l := 0; l < cfg.Layers; l++ {
 		impl := impls(l)
 		df := p.depth(l)
-		tensor.MatMulInto(s.q, x, p.wq[l])
-		tensor.MatMulInto(s.k, x, p.wk[l])
-		tensor.MatMulInto(s.v, x, p.wv[l])
+		tensor.MatMulWideInto(s.q, x, p.wq[l])
+		tensor.MatMulWideInto(s.k, x, p.wk[l])
+		tensor.MatMulWideInto(s.v, x, p.wv[l])
 		if headParallel {
 			// The closure escapes into the pool; the serial path below
 			// stays allocation-free by calling the method directly.
@@ -351,22 +351,22 @@ func (p *Proxy) forward(s *fwdScratch, impls LayerImpls, headParallel bool) *ten
 				p.runHead(s, impl, df, h)
 			}
 		}
-		proj := tensor.MatMulInto(s.proj, s.attnOut, p.wo[l])
+		proj := tensor.MatMulWideInto(s.proj, s.attnOut, p.wo[l])
 		for i := range x.Data {
 			x.Data[i] += proj.Data[i]
 		}
 		rmsNorm(x)
-		hidden := tensor.MatMulInto(s.hidden, x, p.w1[l])
+		hidden := tensor.MatMulWideInto(s.hidden, x, p.w1[l])
 		for i := range hidden.Data {
 			hidden.Data[i] = float32(impl.Act(float64(hidden.Data[i])))
 		}
-		ffnOut := tensor.MatMulInto(s.ffnOut, hidden, p.w2[l])
+		ffnOut := tensor.MatMulWideInto(s.ffnOut, hidden, p.w2[l])
 		for i := range x.Data {
 			x.Data[i] += ffnOut.Data[i]
 		}
 		rmsNorm(x)
 	}
-	return tensor.MatMulInto(s.logits, x, p.wout)
+	return tensor.MatMulWideInto(s.logits, x, p.wout)
 }
 
 // runHead computes one attention head over the scratch's q/k/v matrices,

@@ -159,42 +159,44 @@ type TuningStep struct {
 	PPL float64
 }
 
-// PerLayerTuning reproduces Fig. 7: starting from a single untuned VLP
-// window, it tunes layer windows progressively (greedy, front to back)
-// using each layer's own collected softmax inputs, re-evaluating perplexity
-// after each layer. The returned curve is non-increasing apart from noise.
+// PerLayerTuning reproduces Fig. 7: starting from one untuned LUT top
+// exponent on every layer, it tunes each layer's LUT top exponent
+// progressively (greedy, front to back, core.TuneWindow over that layer's
+// own collected softmax inputs), re-evaluating perplexity after each
+// layer. Within a layer's LUT the per-row sliding window is always the
+// max policy core.Approx.Softmax applies. The returned curve is
+// non-increasing apart from noise.
 func PerLayerTuning(p *Proxy, lutSize, searchLo, searchHi, untunedEMax int) []TuningStep {
 	if searchLo > searchHi {
 		panic(fmt.Sprintf("accuracy: bad search range [%d,%d]", searchLo, searchHi))
 	}
 	inputs := p.CollectSoftmaxInputs(16)
-	act := ExactImpl(p.cfg.Activation)
 	layerEMax := make([]int, p.cfg.Layers)
 	for i := range layerEMax {
 		layerEMax[i] = untunedEMax
 	}
-	makeImpls := func() LayerImpls {
-		approxes := make([]*core.Approx, p.cfg.Layers)
-		for l := range approxes {
-			approxes[l] = core.New(core.LUTSizeConfig(nonlinear.Exp, lutSize, layerEMax[l]))
-		}
-		return func(l int) Impl {
-			a := approxes[l]
-			return Impl{
-				Name: "VLP-tuned",
-				Softmax: func(dst, xs []float64) {
-					a.SelectWindowMass(xs)
-					a.Softmax(dst, xs)
-				},
-				Act: act.Act,
-			}
-		}
-	}
-	steps := []TuningStep{{Layer: -1, EMax: untunedEMax, PPL: p.Perplexity(makeImpls())}}
+	steps := []TuningStep{{Layer: -1, EMax: untunedEMax, PPL: p.Perplexity(tunedImpls(p, lutSize, layerEMax))}}
 	for l := 0; l < p.cfg.Layers; l++ {
 		best, _ := core.TuneWindow(nonlinear.Exp, lutSize, inputs[l], searchLo, searchHi)
 		layerEMax[l] = best
-		steps = append(steps, TuningStep{Layer: l, EMax: best, PPL: p.Perplexity(makeImpls())})
+		steps = append(steps, TuningStep{Layer: l, EMax: best, PPL: p.Perplexity(tunedImpls(p, lutSize, layerEMax))})
 	}
 	return steps
+}
+
+// tunedImpls is one point of the Fig.-7 curve: on layer l, a VLP softmax
+// over a lutSize-exponent LUT topped at layerEMax[l]; the activation
+// stays exact.
+func tunedImpls(p *Proxy, lutSize int, layerEMax []int) LayerImpls {
+	act := ExactImpl(p.cfg.Activation).Act
+	impls := make([]Impl, len(layerEMax))
+	for l, eMax := range layerEMax {
+		a := core.New(core.LUTSizeConfig(nonlinear.Exp, lutSize, eMax))
+		impls[l] = Impl{
+			Name:    "VLP-tuned",
+			Softmax: func(dst, xs []float64) { a.Softmax(dst, xs) },
+			Act:     act,
+		}
+	}
+	return func(l int) Impl { return impls[l] }
 }

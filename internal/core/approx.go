@@ -97,20 +97,24 @@ func (a *Approx) SetWindow(lo int) {
 // pinned to the largest exponent seen in the mapping (paper §4 block 1),
 // clamped into the LUT range.
 func (a *Approx) SelectWindowMax(xs []float64) {
+	a.selectWindowMax(xs, 0)
+}
+
+// selectWindowMax runs the max policy over the operands xs[i]-shift
+// without materializing them, so Softmax can select on its max-subtracted
+// row for free. A row with no normal operand leaves the window alone.
+//
+//mugi:noalloc
+func (a *Approx) selectWindowMax(xs []float64, shift float64) {
 	maxE := math.MinInt32
 	for _, x := range xs {
-		f := numerics.Split(float32(x), a.cfg.ManBits)
-		if f.Class != numerics.ClassNormal {
-			continue
-		}
-		if f.Exp > maxE {
-			maxE = f.Exp
+		if e, ok := numerics.SplitExp(float32(x-shift), a.cfg.ManBits); ok && e > maxE {
+			maxE = e
 		}
 	}
-	if maxE == math.MinInt32 {
-		return
+	if maxE != math.MinInt32 {
+		a.SetWindow(maxE - a.cfg.WindowWidth + 1)
 	}
-	a.SetWindow(maxE - a.cfg.WindowWidth + 1)
 }
 
 // SelectWindowMass slides the window to cover the largest exponent mass of
@@ -118,11 +122,10 @@ func (a *Approx) SelectWindowMax(xs []float64) {
 func (a *Approx) SelectWindowMass(xs []float64) {
 	hist := map[int]int{}
 	for _, x := range xs {
-		f := numerics.Split(float32(x), a.cfg.ManBits)
-		if f.Class != numerics.ClassNormal {
+		e, ok := numerics.SplitExp(float32(x), a.cfg.ManBits)
+		if !ok {
 			continue
 		}
-		e := f.Exp
 		if e < a.cfg.LUTEMin {
 			e = a.cfg.LUTEMin
 		}
@@ -225,6 +228,14 @@ func (a *Approx) ApproxBatch(dst, xs []float64, rows int) BatchStats {
 // (the operands exp actually sees), VLP exp, accumulation in oAcc, and the
 // reciprocal multiply in the vector array (paper §4.1).
 //
+// The per-row window is always the max policy, selected here: a window
+// set before the call (SelectWindowMax, SelectWindowMass, SetWindow) is
+// overridden whenever the row has a normal operand. When it has none,
+// every operand is zero, Inf, NaN or a float32 subnormal, and exp of
+// those does not depend on the window (for any LUT above 2^-126). What
+// callers tune is the LUT itself: Fig. 7 picks each layer's LUT top
+// exponent (TuneWindow), and this max policy slides within it.
+//
 //mugi:noalloc
 func (a *Approx) Softmax(dst, xs []float64) []float64 {
 	if a.cfg.Op != nonlinear.Exp {
@@ -237,22 +248,7 @@ func (a *Approx) Softmax(dst, xs []float64) []float64 {
 				max = v
 			}
 		}
-		// Window selection over the max-subtracted operands (what exp
-		// actually sees) without materializing them: the same exponent scan
-		// as SelectWindowMax, inlined so the hot path stays allocation-free.
-		maxE := math.MinInt32
-		for _, v := range xs {
-			f := numerics.Split(float32(v-max), a.cfg.ManBits)
-			if f.Class != numerics.ClassNormal {
-				continue
-			}
-			if f.Exp > maxE {
-				maxE = f.Exp
-			}
-		}
-		if maxE != math.MinInt32 {
-			a.SetWindow(maxE - a.cfg.WindowWidth + 1)
-		}
+		a.selectWindowMax(xs, max)
 	}
 	return nonlinear.Softmax(dst, xs, a.Approx)
 }

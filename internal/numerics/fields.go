@@ -63,29 +63,54 @@ func Split(x float32, manBits int) Fields {
 	if manBits < 1 || manBits > 23 {
 		panic(fmt.Sprintf("numerics: Split manBits %d out of range [1,23]", manBits))
 	}
-	f := Fields{ManBits: manBits, Class: Classify(x)}
-	if math.Signbit(float64(x)) {
-		f.Sign = 1
+	bits := math.Float32bits(x)
+	f := Fields{Sign: int(bits >> 31), ManBits: manBits}
+	switch biased := bits >> 23 & 0xff; {
+	case biased == 0xff && bits&0x7fffff != 0:
+		f.Class = ClassNaN
+	case biased == 0xff:
+		f.Class = ClassInf
+	case biased == 0:
+		f.Class = ClassZero // zero, or a subnormal flushed to zero
+	default:
+		r := roundedBits(bits, manBits)
+		f.Mantissa = int(r & (1<<manBits - 1))
+		f.Exp = int(r>>manBits) - 127
 	}
-	switch f.Class {
-	case ClassZero, ClassInf, ClassNaN:
-		return f
-	case ClassSubnormal:
-		f.Class = ClassZero
-		return f
-	}
-	frac, exp2 := math.Frexp(math.Abs(float64(x)))
-	// frac in [0.5,1): mantissa-with-hidden-one = frac*2 in [1,2).
-	e := exp2 - 1
-	scaled := (frac*2 - 1) * math.Ldexp(1, manBits)
-	m := int(roundHalfEven(scaled))
-	if m >= 1<<manBits {
-		m = 0
-		e++
-	}
-	f.Mantissa = m
-	f.Exp = e
 	return f
+}
+
+// SplitExp returns the Exp field Split(x, manBits) would produce, and
+// whether x is a normal input (Split's Class == ClassNormal). It is the
+// exponent-only split the window scans run over every operand.
+//
+// manBits must be in [1, 23].
+//
+//mugi:noalloc
+func SplitExp(x float32, manBits int) (exp int, normal bool) {
+	if manBits < 1 || manBits > 23 {
+		panic(fmt.Sprintf("numerics: Split manBits %d out of range [1,23]", manBits))
+	}
+	bits := math.Float32bits(x)
+	if biased := bits >> 23 & 0xff; biased == 0 || biased == 0xff {
+		return 0, false
+	}
+	return int(roundedBits(bits, manBits)>>manBits) - 127, true
+}
+
+// roundedBits rounds the magnitude of a normal float32, given as its
+// bits, to manBits mantissa bits, half to even. It returns the biased
+// exponent above the low manBits mantissa bits; a mantissa that rounds
+// up to 2 carries into the exponent.
+func roundedBits(bits uint32, manBits int) uint32 {
+	mag := bits & 0x7fffffff
+	shift := 23 - manBits
+	if shift > 0 {
+		// Adding half an ulp less one, plus the kept lsb, carries past
+		// the dropped bits exactly when round-half-even rounds up.
+		mag += 1<<(shift-1) - 1 + mag>>shift&1
+	}
+	return mag >> shift
 }
 
 // SplitBF16 first narrows x to BF16 (the Mugi input word) and then splits,

@@ -2,8 +2,11 @@ package numerics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mugi/internal/raceflag"
 )
 
 func TestSplitBasic(t *testing.T) {
@@ -119,4 +122,69 @@ func TestSplitPanicsOnBadManBits(t *testing.T) {
 		}
 	}()
 	Split(1, 0)
+}
+
+// splitRef is the float64 Frexp/roundHalfEven field split that Split's
+// bit-level rounding replaced, kept as the reference it must match.
+func splitRef(x float32, manBits int) Fields {
+	f := Fields{ManBits: manBits, Class: Classify(x)}
+	if math.Signbit(float64(x)) {
+		f.Sign = 1
+	}
+	switch f.Class {
+	case ClassZero, ClassInf, ClassNaN:
+		return f
+	case ClassSubnormal:
+		f.Class = ClassZero
+		return f
+	}
+	frac, exp2 := math.Frexp(math.Abs(float64(x)))
+	e := exp2 - 1
+	scaled := (frac*2 - 1) * math.Ldexp(1, manBits)
+	m := int(roundHalfEven(scaled))
+	if m >= 1<<manBits {
+		m = 0
+		e++
+	}
+	f.Mantissa = m
+	f.Exp = e
+	return f
+}
+
+// TestSplitMatchesFrexpReference requires Split and SplitExp to agree
+// with splitRef field for field on every BF16 word and on a seeded
+// sample of float32 words (zeros, subnormals, Inf and NaN included), at
+// every mantissa width.
+func TestSplitMatchesFrexpReference(t *testing.T) {
+	words := []uint32{
+		0, 1 << 31, // ±0
+		1, 0x007fffff, 0x807fffff, // subnormals
+		0x00800000, 0x7f7fffff, 0xff7fffff, // smallest and largest normals
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00001, 0x7f800001, // NaNs
+	}
+	for c := uint32(0); c < 1<<16; c++ {
+		words = append(words, c<<16)
+	}
+	n := 1 << 20
+	if raceflag.Enabled {
+		n = 1 << 12
+	}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < n; i++ {
+		words = append(words, rng.Uint32())
+	}
+	for manBits := 1; manBits <= 23; manBits++ {
+		for _, w := range words {
+			x := math.Float32frombits(w)
+			want := splitRef(x, manBits)
+			if got := Split(x, manBits); got != want {
+				t.Fatalf("Split(%#08x, %d) = %+v, want %+v", w, manBits, got, want)
+			}
+			exp, normal := SplitExp(x, manBits)
+			if normal != (want.Class == ClassNormal) || (normal && exp != want.Exp) {
+				t.Fatalf("SplitExp(%#08x, %d) = %d, %v, want %+v", w, manBits, exp, normal, want)
+			}
+		}
+	}
 }

@@ -66,6 +66,15 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
+// Wide is a dense row-major float64 matrix: a constant right-hand GEMM
+// operand held widened once, so MatMulWideInto reads it without a
+// per-MAC conversion. Widening a float32 is exact, so a Wide built from
+// float32 values multiplies bit-identically to the Matrix it came from.
+type Wide struct {
+	Rows, Cols int
+	Data       []float64
+}
+
 // MatMul computes a×b with float64 accumulation, the exact reference for
 // the VLP GEMM engines. Panics on shape mismatch.
 func MatMul(a, b *Matrix) *Matrix {
@@ -73,24 +82,58 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulInto computes a×b into dst (which must be a.Rows × b.Cols) and
-// returns dst. The accumulation order is identical to MatMul, so results
-// are bit-equal; dst is fully overwritten. It is the allocation-free path
-// the accuracy proxy reuses across forward passes.
+// returns dst. Each output is a float64 sum over k in ascending order,
+// rounded once to float32; dst is fully overwritten and nothing is
+// allocated.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	return matMulInto(dst, a, b.Data, b.Rows, b.Cols)
+}
+
+// MatMulWideInto is MatMulInto with a widened right-hand operand; the
+// results are bit-identical to MatMulInto on the float32 original. It is
+// the path the accuracy proxy runs against its constant weights.
+func MatMulWideInto(dst, a *Matrix, b *Wide) *Matrix {
+	return matMulInto(dst, a, b.Data, b.Rows, b.Cols)
+}
+
+// matBlock is the number of output columns one accumulator block holds.
+const matBlock = 64
+
+// matMulInto is the one GEMM loop behind MatMulInto and MatMulWideInto.
+// It walks i-k-j so both operands stream contiguously, accumulating a
+// block of output columns in float64 on the stack. Each output still
+// takes exactly the steps acc += a[i,k]·b[k,j] for k ascending from
+// acc = 0 (the products of widened float32s are exact in float64, so
+// fused multiply-adds round identically), so results are bit-identical
+// to the naive j-outer dot product.
+//
+//mugi:noalloc
+func matMulInto[T float32 | float64](dst, a *Matrix, b []T, bRows, bCols int) *Matrix {
+	if a.Cols != bRows {
+		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d", a.Rows, a.Cols, bRows, bCols))
 	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
+	if dst.Rows != a.Rows || dst.Cols != bCols {
+		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bCols))
 	}
+	var block [matBlock]float64
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
-		for j := 0; j < b.Cols; j++ {
-			acc := 0.0
-			for k := 0; k < a.Cols; k++ {
-				acc += float64(arow[k]) * float64(b.At(k, j))
+		out := dst.Row(i)
+		for j0 := 0; j0 < bCols; j0 += matBlock {
+			acc := block[:min(matBlock, bCols-j0)]
+			clear(acc)
+			for k, av32 := range arow {
+				// Widened once per k: converting inside the j loop would
+				// chain iterations through the conversion's register.
+				av := float64(av32)
+				brow := b[k*bCols+j0:][:len(acc)]
+				for j, bv := range brow {
+					acc[j] += av * float64(bv)
+				}
 			}
-			dst.Set(i, j, float32(acc))
+			for j, v := range acc {
+				out[j0+j] = float32(v)
+			}
 		}
 	}
 	return dst
@@ -132,10 +175,26 @@ func MatVec(a *Matrix, x []float32) []float32 {
 // deterministic source.
 func RandNormal(rng *rand.Rand, rows, cols int, std float64) *Matrix {
 	m := NewMatrix(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64() * std)
-	}
+	fillNormal(rng, m.Data, std)
 	return m
+}
+
+// RandNormalWide is RandNormal held widened: the same float32 samples
+// from the same draws of rng, stored as float64.
+func RandNormalWide(rng *rand.Rand, rows, cols int, std float64) *Wide {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dims %dx%d", rows, cols))
+	}
+	w := &Wide{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	fillNormal(rng, w.Data, std)
+	return w
+}
+
+// fillNormal draws one float32-rounded N(0, std²) sample per element.
+func fillNormal[T float32 | float64](rng *rand.Rand, data []T, std float64) {
+	for i := range data {
+		data[i] = T(float32(rng.NormFloat64() * std))
+	}
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference.

@@ -111,25 +111,81 @@ func TestFromRowsEmpty(t *testing.T) {
 	}
 }
 
-func TestMatMulIntoMatchesMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		a := RandNormal(rng, 1+rng.Intn(8), 1+rng.Intn(8), 1)
-		b := RandNormal(rng, a.Cols, 1+rng.Intn(8), 1)
-		want := MatMul(a, b)
-		dst := NewMatrix(a.Rows, b.Cols)
-		// Poison dst to prove it is fully overwritten.
-		for i := range dst.Data {
-			dst.Data[i] = 1e30
-		}
-		got := MatMulInto(dst, a, b)
-		if got != dst {
-			t.Fatal("MatMulInto must return dst")
-		}
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("trial %d element %d: %v != %v", trial, i, got.Data[i], want.Data[i])
+// naiveMatMul is the strided j-outer dot-product loop MatMulInto used
+// to be: the bit-level reference for the contiguous blocked loop.
+func naiveMatMul(a, b *Matrix) []float32 {
+	out := make([]float32, a.Rows*b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			acc := 0.0
+			for k := 0; k < a.Cols; k++ {
+				acc += float64(a.At(i, k)) * float64(b.At(k, j))
 			}
+			out[i*b.Cols+j] = float32(acc)
+		}
+	}
+	return out
+}
+
+// spreadMatrix draws entries ±{1, 1.25, 1.5, 1.75}·2^{0 or 30}. Products
+// near 2^60 absorb the small ones in a float64 partial sum and then often
+// cancel exactly, so any change to the accumulation order shows up in
+// the float32 result.
+func spreadMatrix(rng *rand.Rand, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		sign := float64(1 - 2*rng.Intn(2))
+		frac := 1 + float64(rng.Intn(4))/4
+		m.Data[i] = float32(math.Ldexp(sign*frac, 30*rng.Intn(2)))
+	}
+	return m
+}
+
+// TestMatMulIntoMatchesNaiveLoop checks MatMulInto and MatMulWideInto
+// bit-for-bit against the naive loop, into a poisoned dst, over column
+// counts that cross the accumulator block.
+func TestMatMulIntoMatchesNaiveLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for cols := 1; cols <= 2*matBlock+2; cols++ {
+		a := spreadMatrix(rng, 1+rng.Intn(5), rng.Intn(40))
+		b := spreadMatrix(rng, a.Cols, cols)
+		want := naiveMatMul(a, b)
+		wide := &Wide{Rows: b.Rows, Cols: b.Cols, Data: make([]float64, len(b.Data))}
+		for i, v := range b.Data {
+			wide.Data[i] = float64(v)
+		}
+		for name, mul := range map[string]func(dst *Matrix) *Matrix{
+			"MatMulInto":     func(dst *Matrix) *Matrix { return MatMulInto(dst, a, b) },
+			"MatMulWideInto": func(dst *Matrix) *Matrix { return MatMulWideInto(dst, a, wide) },
+		} {
+			dst := NewMatrix(a.Rows, b.Cols)
+			for i := range dst.Data {
+				dst.Data[i] = float32(math.NaN())
+			}
+			if got := mul(dst); got != dst {
+				t.Fatalf("%s must return dst", name)
+			}
+			for i := range want {
+				if math.Float32bits(dst.Data[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s %dx%d·%dx%d element %d: %v != %v",
+						name, a.Rows, a.Cols, b.Rows, b.Cols, i, dst.Data[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRandNormalWideMatchesRandNormal pins the widened draw to the
+// float32 one from the same seed.
+func TestRandNormalWideMatchesRandNormal(t *testing.T) {
+	m := RandNormal(rand.New(rand.NewSource(33)), 7, 9, 0.5)
+	w := RandNormalWide(rand.New(rand.NewSource(33)), 7, 9, 0.5)
+	if w.Rows != m.Rows || w.Cols != m.Cols {
+		t.Fatalf("shape %dx%d, want %dx%d", w.Rows, w.Cols, m.Rows, m.Cols)
+	}
+	for i, v := range m.Data {
+		if w.Data[i] != float64(v) {
+			t.Fatalf("element %d: %v != %v", i, w.Data[i], v)
 		}
 	}
 }
