@@ -36,9 +36,6 @@ func benchExperiment(b *testing.B, id string) {
 	defer runner.SetParallelism(0)
 	var out string
 	for i := 0; i < b.N; i++ {
-		// Cold cache each iteration: the metric tracks regeneration cost,
-		// not cache reads.
-		ResetSimCache()
 		out = e.Run().String()
 	}
 	// Per-artifact wall time in milliseconds, the comparable trajectory
@@ -50,12 +47,11 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // benchRegistry regenerates the complete registry per iteration at the
-// given parallelism with a cold cache — the serial/parallel pair below is
+// given parallelism — the serial/parallel pair below is
 // the wall-clock speedup evidence for the concurrent runner.
 func benchRegistry(b *testing.B, parallelism int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		results := RunAll(Parallelism(parallelism))
 		if len(results) != len(Experiments()) {
 			b.Fatalf("got %d artifacts", len(results))
@@ -303,8 +299,7 @@ func BenchmarkSimulateDecode(b *testing.B) {
 
 // ---- Serving benchmarks ----
 
-// benchServe runs one serving scenario per iteration with a cold sim
-// cache and reports the cross-PR trajectory metrics: sustained requests/s
+// benchServe runs one serving scenario per iteration and reports the cross-PR trajectory metrics: sustained requests/s
 // and p99 request latency of the simulated deployment (simulated-time
 // metrics — stable across machines — alongside the wall-clock ms/run).
 func benchServe(b *testing.B, mesh Mesh, rate float64) {
@@ -318,7 +313,6 @@ func benchServe(b *testing.B, mesh Mesh, rate float64) {
 	cfg := ServeConfig{Model: Llama2_7B, Design: NewMugi(256), Mesh: mesh}
 	var rep ServeReport
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		if rep, err = Serve(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
@@ -337,8 +331,8 @@ func BenchmarkServeSingleNode(b *testing.B) { benchServe(b, SingleNode, 0.05) }
 func BenchmarkServeMesh4x4(b *testing.B) { benchServe(b, NewMesh(4, 4), 0.5) }
 
 // BenchmarkServePoissonWarm is the steady-state serving cost: the same
-// scenario as BenchmarkServeSingleNode but with the sim cache, workload
-// memo, and pooled scheduler warm — the per-sweep-cell cost inside a
+// scenario as BenchmarkServeSingleNode but with the workload memo and
+// pooled scheduler warm — the per-sweep-cell cost inside a
 // rate x mesh x design or capacity sweep, where step shapes repeat.
 func BenchmarkServePoissonWarm(b *testing.B) {
 	runner.SetParallelism(1)
@@ -363,7 +357,7 @@ func BenchmarkServePoissonWarm(b *testing.B) {
 // BenchmarkServeMillionRequests drives a one-million-request Poisson
 // trace through the scheduler via the lazy stream: the trace is never
 // materialized, latency percentiles aggregate into fixed-size histograms,
-// and step shapes are quantized so the sim cache stays bounded — the
+// and step shapes are quantized so the step table stays bounded — the
 // sweep-scale configuration of this PR. Reported metrics are simulated
 // sustained req/s and the wall-clock per full run.
 func BenchmarkServeMillionRequests(b *testing.B) {
@@ -406,7 +400,6 @@ func BenchmarkCapacitySearch(b *testing.B) {
 	}
 	var res CapacityResult
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		var err error
 		if res, err = FindCapacity(cfg, spec); err != nil {
 			b.Fatal(err)
@@ -419,7 +412,7 @@ func BenchmarkCapacitySearch(b *testing.B) {
 
 // BenchmarkFleetPlan measures one full fleet plan — SLO-bound capacity
 // search, TCO pricing, and both frontiers over a 2-design x 2-mesh x
-// {1, 2}-replica grid under JSQ routing — from a cold cache. This is the
+// {1, 2}-replica grid under JSQ routing. This is the
 // headline unit of the PR 5 fleet planner; the reported frontier size
 // guards against the planner silently degenerating to zero survivors.
 func BenchmarkFleetPlan(b *testing.B) {
@@ -439,7 +432,6 @@ func BenchmarkFleetPlan(b *testing.B) {
 	}
 	var results []FleetCellResult
 	for i := 0; i < b.N; i++ {
-		ResetSimCache()
 		results = PlanFleet(spec)
 		for _, r := range results {
 			if r.Err != nil {

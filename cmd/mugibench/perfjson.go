@@ -27,8 +27,8 @@ import (
 // than a claim). Kernels marked zeroAlloc gate the exit status: any
 // steady-state allocation on a zero-allocation path is a regression and
 // fails the run. Kernels with a maxAllocs bound gate scale-dependent
-// paths the same way (a cold serving run may allocate per cache miss, but
-// never per request again), which is what the CI smoke job checks.
+// paths the same way (a serving run may allocate per distinct step shape,
+// but never per request again), which is what the CI smoke job checks.
 
 // benchRecord is one benchmark line of the trajectory file.
 type benchRecord struct {
@@ -59,7 +59,7 @@ const (
 	// benchSchema versions the consolidated trajectory file.
 	benchSchema = "mugi-perf-trajectory/3"
 	// benchLabel names the entry this build's -json run writes.
-	benchLabel = "pr15"
+	benchLabel = "pr16"
 )
 
 // fallbackHistory seeds the trajectory when the committed BENCH.json is
@@ -115,7 +115,7 @@ type perfKernel struct {
 	// nonzero allocs/op fails the emitter.
 	zeroAlloc bool
 	// maxAllocs, when nonzero, is the allocation budget of a path that
-	// legitimately allocates a bounded amount (cold-cache misses, stream
+	// legitimately allocates a bounded amount (step-table growth, stream
 	// setup) but must never regress to per-request allocation; exceeding
 	// it fails the emitter.
 	maxAllocs float64
@@ -220,7 +220,7 @@ func perfKernels() []perfKernel {
 	simW := mugi.Llama2_70B_GQA.DecodeOps(8, 4096)
 	simD := mugi.NewMugi(256)
 
-	// Serving: one cold-cache Poisson run, matching BenchmarkServeSingleNode.
+	// Serving: one Poisson run, matching BenchmarkServeSingleNode.
 	trace, err := mugi.NewTrace(mugi.TraceConfig{
 		Kind: mugi.TracePoisson, Rate: 0.05, Requests: 48, Seed: 1,
 	})
@@ -230,13 +230,13 @@ func perfKernels() []perfKernel {
 	serveCfg := mugi.ServeConfig{Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.SingleNode}
 
 	// Million-request streaming run: the sweep-scale configuration (lazy
-	// trace, histogram percentiles, bounded bucketed sim cache) on a 4x4
+	// trace, histogram percentiles, bucketed step table) on a 4x4
 	// mesh that keeps up with the offered rate.
 	serve1mCfg := mugi.ServeConfig{Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.NewMesh(4, 4)}
 	serve1mTrace := mugi.TraceConfig{Kind: mugi.TracePoisson, Rate: 0.5, Requests: 1_000_000, Seed: 1}
 
 	// Capacity search: one full bracketing+bisection search of the
-	// single-node cell, cold cache.
+	// single-node cell.
 	capCfg := mugi.ServeConfig{Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.SingleNode}
 	capSpec := mugi.CapacitySpec{
 		Trace: mugi.TraceConfig{Kind: mugi.TracePoisson, Requests: 48, Seed: 1},
@@ -245,7 +245,7 @@ func perfKernels() []perfKernel {
 
 	// MinuteServe entry: one full benchmark scoring — SLO-bound capacity
 	// search, the scored minute, TCO pricing, artifact signing and
-	// verification — of the reference submission, cold cache.
+	// verification — of the reference submission.
 	msEntry, err := mugi.ParseMinuteServeEntry("mugi:4x4")
 	if err != nil {
 		panic(err)
@@ -253,7 +253,7 @@ func perfKernels() []perfKernel {
 
 	// Fleet plan: the full planner over a 2-design x 2-mesh x {1,2}
 	// grid under JSQ routing — router, per-replica schedulers, histogram
-	// merges, TCO pricing, and both frontiers — cold cache.
+	// merges, TCO pricing, and both frontiers.
 	fleetSpec := mugi.FleetPlanSpec{
 		Base: mugi.ServeConfig{Model: mugi.Llama2_7B},
 		Cells: mugi.FleetGrid(
@@ -270,7 +270,7 @@ func perfKernels() []perfKernel {
 	// Faulty fleet week: a three-replica JSQ fleet serving a week of
 	// diurnal arrivals under seeded fault injection — ~200 crashes, each
 	// orphaning in-flight work the router fails over — through the
-	// remove-and-re-dispatch fixed point, cold cache.
+	// remove-and-re-dispatch fixed point.
 	faultyFleetCfg := mugi.FleetConfig{
 		Replica:       mugi.ServeConfig{Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.NewMesh(2, 2)},
 		Replicas:      3,
@@ -286,7 +286,7 @@ func perfKernels() []perfKernel {
 	// Flash-crowd week: a tenanted two-replica JSQ fleet serving a week
 	// of flash-crowd arrivals (4x surges over a calm baseline) through
 	// the full overload stack — per-class admission, strict-priority
-	// dispatch, brownout ladder, retrying clients — cold cache.
+	// dispatch, brownout ladder, retrying clients.
 	crowdCfg := mugi.FleetConfig{
 		Replica: mugi.ServeConfig{
 			Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.NewMesh(2, 2),
@@ -310,7 +310,7 @@ func perfKernels() []perfKernel {
 
 	// Autoscale week: the full static-vs-dynamic comparison — always-on
 	// JSQ fleet, then the online controller (power states, boot lag,
-	// DVFS) — over a simulated week of diurnal arrivals, cold cache.
+	// DVFS) — over a simulated week of diurnal arrivals.
 	autoCfg := mugi.AutoscaleConfig{
 		Replica:     mugi.ServeConfig{Model: mugi.Llama2_7B, Design: mugi.NewMugi(256), Mesh: mugi.NewMesh(4, 4)},
 		MaxReplicas: 4,
@@ -354,18 +354,20 @@ func perfKernels() []perfKernel {
 		},
 		{
 			name: "simulate_decode",
+			// sim.Simulate's class breakdowns are fixed arrays, so a pass
+			// allocates nothing.
+			zeroAlloc: true,
 			op: func() {
 				mugi.Simulate(mugi.SimParams{Design: simD}, simW)
 			},
 		},
 		{
 			name: "serve_poisson_cold",
-			// Cold runs allocate only per cache miss (bounded by distinct
+			// Runs allocate only per step-table growth (bounded by distinct
 			// quantized step shapes), never per request: >= 10x under the
 			// PR 3 baseline of 12,643, CI-gated.
 			maxAllocs: 1264,
 			op: func() {
-				mugi.ResetSimCache()
 				if _, err := mugi.Serve(serveCfg, trace); err != nil {
 					panic(err)
 				}
@@ -373,8 +375,9 @@ func perfKernels() []perfKernel {
 		},
 		{
 			name: "serve_poisson_warm",
-			// Steady state: pooled scheduler + memoized workloads + cache
-			// hits leave only the stream wrapper and closure setup.
+			// Steady state: pooled scheduler + memoized workloads + the
+			// cleared step table leave only the stream wrapper and
+			// closure setup.
 			maxAllocs: 64,
 			op: func() {
 				if _, err := mugi.Serve(serveCfg, trace); err != nil {
@@ -388,7 +391,7 @@ func perfKernels() []perfKernel {
 			// single allocation sample keep the emitter usable while still
 			// gating scale-independence: the 200k budget is 5x under
 			// one-alloc-per-request (the measured run allocates single
-			// digits; the headroom absorbs cold-cache and GC noise).
+			// digits; the headroom absorbs GC noise).
 			fixedIters:   1,
 			maxAllocRuns: 1,
 			maxAllocs:    200_000,
@@ -408,8 +411,11 @@ func perfKernels() []perfKernel {
 		},
 		{
 			name: "capacity_search",
+			// The search allocates per probe (stream, report) and per
+			// price-list entry, never per scheduler step: the budget is
+			// ~4x the measured run (63 allocs), far under one per step.
+			maxAllocs: 240,
 			op: func() {
-				mugi.ResetSimCache()
 				if _, err := mugi.FindCapacity(capCfg, capSpec); err != nil {
 					panic(err)
 				}
@@ -419,14 +425,13 @@ func perfKernels() []perfKernel {
 			name: "autoscale_week",
 			// One comparison is seconds of work (12k requests on both
 			// sides plus calibration probes). The controller allocates per
-			// run (prescan counts, windows, reports) and per cache miss,
+			// run (prescan counts, windows, reports) and per step shape,
 			// never per tick or per request: the budget sits well under
-			// one alloc per request (~6.2k measured cold for 12k requests).
+			// one alloc per request (~370 measured for 12k requests).
 			fixedIters:   1,
 			maxAllocRuns: 1,
 			maxAllocs:    8_000,
 			op: func() {
-				mugi.ResetSimCache()
 				cmp, err := mugi.CompareAutoscale(autoCfg, autoTrace)
 				if err != nil {
 					panic(err)
@@ -440,14 +445,13 @@ func perfKernels() []perfKernel {
 			name: "fleet_faulty_week",
 			// One run is seconds of work (12k requests, ~200 crashes, every
 			// crash-dirtied replica re-run to the failover fixed point). The
-			// router allocates per replica re-run and per cache miss, never
+			// router allocates per replica re-run and per step shape, never
 			// per request or per scheduler step: the budget sits well under
 			// one alloc per request.
 			fixedIters:   1,
 			maxAllocRuns: 1,
 			maxAllocs:    8_000,
 			op: func() {
-				mugi.ResetSimCache()
 				src, err := mugi.NewTraceStream(faultyFleetTrace)
 				if err != nil {
 					panic(err)
@@ -477,7 +481,6 @@ func perfKernels() []perfKernel {
 			maxAllocRuns: 1,
 			maxAllocs:    10_000,
 			op: func() {
-				mugi.ResetSimCache()
 				src, err := mugi.NewTraceStream(crowdTrace)
 				if err != nil {
 					panic(err)
@@ -500,14 +503,13 @@ func perfKernels() []perfKernel {
 			name: "minuteserve_entry",
 			// One scored entry is a capacity search (12 probes of 32
 			// requests) plus the scored minute, then signing and verifying
-			// the artifact. The scorer allocates per probe and per cache
-			// miss, never per request or scheduler step: the budget sits
-			// ~4x over the measured cold run (~1.2k allocs).
+			// the artifact. The scorer allocates per probe and per price-list
+			// entry, never per request or scheduler step: the budget sits
+			// well over the measured run (~190 allocs).
 			fixedIters:   1,
 			maxAllocRuns: 1,
 			maxAllocs:    5_000,
 			op: func() {
-				mugi.ResetSimCache()
 				rep, err := mugi.MinuteServe(msEntry)
 				if err != nil {
 					panic(err)
@@ -524,11 +526,10 @@ func perfKernels() []perfKernel {
 			name: "fleet_plan",
 			// The planner allocates per probe (routed schedules, reports,
 			// frontier copies) but never per scheduler step: the budget is
-			// sized ~4x over the measured cold run so a regression to
+			// ~2x the measured run (1,269 allocs) so a regression to
 			// per-step allocation (thousands of steps per probe) trips it.
-			maxAllocs: 15_000,
+			maxAllocs: 2_500,
 			op: func() {
-				mugi.ResetSimCache()
 				results := mugi.PlanFleet(fleetSpec)
 				for _, r := range results {
 					if r.Err != nil {

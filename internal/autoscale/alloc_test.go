@@ -8,7 +8,7 @@ import (
 )
 
 // TestSteadyStateTickZeroAlloc: once the pooled controller, workload
-// memo and sim cache are warm, a run's allocation count must not grow
+// memo and step table are warm, a run's allocation count must not grow
 // with its tick count — the same trace at a 10× finer tick runs ~10×
 // the observe/decide/apply cycles and allocates nothing extra, i.e. the
 // steady-state tick is 0 allocs on top of the warmed scheduler step.
@@ -26,7 +26,7 @@ func TestSteadyStateTickZeroAlloc(t *testing.T) {
 		}
 		return rep
 	}
-	// Warm everything: sim cache, workload memo, controller pool — at
+	// Warm everything: step table, workload memo, controller pool — at
 	// both tick granularities so pooled slices reach their high-water
 	// capacities.
 	coarse := run(600)

@@ -8,8 +8,7 @@ import (
 
 // TestParallelOutputMatchesSerial is the runner's determinism contract:
 // every registry artifact rendered with the worker pool at parallelism 8
-// (cold cache) must be byte-identical to the serial rendering (cold
-// cache). Under -race this also exercises the concurrent sweep paths.
+// must be byte-identical to the serial rendering. Under -race this also exercises the concurrent sweep paths.
 func TestParallelOutputMatchesSerial(t *testing.T) {
 	slow := map[string]bool{"fig6": true, "fig7": true, "fig12": true, "fig14": true, "fig17": true}
 	defer runner.SetParallelism(0)
@@ -18,38 +17,13 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 			continue
 		}
 		runner.SetParallelism(1)
-		runner.ResetCache()
 		serial := e.Run().String()
 
 		runner.SetParallelism(8)
-		runner.ResetCache()
 		parallel := e.Run().String()
 
 		if serial != parallel {
 			t.Errorf("%s: parallel rendering diverges from serial", e.ID)
 		}
-	}
-	runner.ResetCache()
-}
-
-// TestCacheDeduplicatesAcrossGenerators checks the content-keyed cache's
-// reason to exist: Fig. 14 evaluates every (design, batch, seq, model)
-// point once per metric, so a second pass over the same generator must be
-// all hits, and even the first pass must dedupe the per-metric revisits.
-func TestCacheDeduplicatesAcrossGenerators(t *testing.T) {
-	defer runner.ResetCache()
-	runner.ResetCache()
-	Table3()
-	first := runner.CacheStats()
-	if first.Misses == 0 {
-		t.Fatal("Table 3 submitted no simulation points through the runner")
-	}
-	Table3()
-	second := runner.CacheStats()
-	if second.Misses != first.Misses {
-		t.Errorf("re-running Table 3 recomputed %d points", second.Misses-first.Misses)
-	}
-	if second.Hits <= first.Hits {
-		t.Error("re-running Table 3 produced no cache hits")
 	}
 }

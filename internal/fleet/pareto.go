@@ -127,7 +127,8 @@ func Plan(spec PlanSpec) []CellResult {
 	return out
 }
 
-// planCell searches and prices one cell.
+// planCell searches and prices one cell. The search's probes, their
+// replicas and the JSQ estimator share one price list.
 func planCell(spec PlanSpec, cs serve.CapacitySpec, cell Cell) CellResult {
 	res := CellResult{Design: cell.Design.Name, Mesh: cell.Mesh.String(), Replicas: cell.Replicas}
 	cfg := Config{
@@ -138,6 +139,7 @@ func planCell(spec PlanSpec, cs serve.CapacitySpec, cell Cell) CellResult {
 	}
 	cfg.Replica.Design = cell.Design
 	cfg.Replica.Mesh = cell.Mesh
+	cfg.Replica = cfg.Replica.SharePrices()
 	res.Capacity, res.At, res.Probes, res.Err = serve.Search(cs, func(src serve.Stream) (Report, serve.Report, error) {
 		rep, err := Run(cfg, src)
 		return rep, rep.Fleet, err

@@ -66,9 +66,10 @@ func ParsePolicy(s string) (Policy, error) {
 func Policies() []Policy { return []Policy{RoundRobin, JSQ, Affinity} }
 
 // estimator prices a request's service demand for the JSQ virtual clock.
-// Costs come from the replica's own StepFunc at batch 1 on the quantized
-// step-shape grid (serve.StepWorkload), memoized locally per shape, so
-// routing a long trace prices O(MaxSeq/CtxBucket) shapes, not
+// Costs come from the replica's own step pricing at batch 1 on the
+// quantized step-shape grid (serve.Config.StepSeconds, through the
+// search's price list when one is attached), memoized locally per shape,
+// so routing a long trace prices O(MaxSeq/CtxBucket) shapes, not
 // O(requests). Batch-1 pricing
 // overestimates batched decode throughput, but every replica is
 // overestimated identically, which is all a load comparison needs.
@@ -92,13 +93,13 @@ func (e *estimator) demand(r serve.Request) float64 {
 	p := e.cfg.BucketCtx(r.Prompt)
 	pre, ok := e.prefill[p]
 	if !ok {
-		pre = e.cfg.Simulate(e.cfg.Params(), serve.StepWorkload(e.cfg.Model, false, 1, p)).Seconds
+		pre = e.cfg.StepSeconds(false, 1, p)
 		e.prefill[p] = pre
 	}
 	c := e.cfg.BucketCtx(r.Prompt + r.Output)
 	dec, ok := e.decodeSec[c]
 	if !ok {
-		dec = e.cfg.Simulate(e.cfg.Params(), serve.StepWorkload(e.cfg.Model, true, 1, c)).Seconds
+		dec = e.cfg.StepSeconds(true, 1, c)
 		e.decodeSec[c] = dec
 	}
 	return pre + float64(r.Output-1)*dec

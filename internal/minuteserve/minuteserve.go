@@ -257,8 +257,9 @@ func Run(e Entry) (Report, error) {
 	// minute: RunStream for a single replica (a one-replica fleet.Run
 	// gives the same report at about twice the allocations), the JSQ
 	// fleet otherwise. It returns its report twice, as the search's
-	// result and as the report the pass rule judges.
-	cfg := serve.Config{Model: RulesModel(), Design: d, Mesh: mesh}
+	// result and as the report the pass rule judges. Every probe and the
+	// minute share one price list.
+	cfg := serve.Config{Model: RulesModel(), Design: d, Mesh: mesh}.SharePrices()
 	run := func(src serve.Stream) (serve.Report, serve.Report, error) {
 		rep, err := serve.RunStream(cfg, src)
 		return rep, rep, err

@@ -26,10 +26,13 @@ const (
 	Nonlinear
 )
 
+// NumOpClasses is the number of operator classes, the length of every
+// per-class array (sim.Result's breakdowns index by OpClass).
+const NumOpClasses = int(Nonlinear) + 1
+
 // OpClasses lists every operator class in declaration order — the fixed
-// iteration order for per-class accumulations, so float sums over class
-// maps are bit-stable across runs instead of following Go's randomized map
-// order.
+// iteration order for per-class accumulations, so float sums over the
+// class breakdowns are bit-stable.
 func OpClasses() []OpClass {
 	return []OpClass{Projection, Attention, FFN, Nonlinear}
 }

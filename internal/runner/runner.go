@@ -1,24 +1,15 @@
 // Package runner is the concurrent experiment/sweep engine. Regenerating
 // the paper's evaluation is an embarrassingly parallel sweep over
-// (design × mesh × model × batch × sequence) points, and many generators
-// revisit identical points (Fig. 14 simulates every point once per metric;
-// Table 3 and Fig. 13 share the Llama-2 70B GQA workload). The engine
-// supplies the two pieces that exploit this:
+// (design × mesh × model × batch × sequence) points. The engine supplies
+// two pieces:
 //
 //   - a bounded worker pool (Map) that fans independent work items across
 //     at most Parallelism() goroutines, with the caller always
 //     participating so nested Map calls degrade to serial execution
 //     instead of deadlocking;
-//   - a content-keyed, single-flight result cache over sim.Simulate, so an
-//     identical (design, mesh, cost, bandwidth, workload) tuple is
-//     computed exactly once per cache generation no matter how many
-//     generators or workers request it. The cache is bounded by a
-//     two-generation (young/old) scheme: when the young generation fills
-//     to the configured capacity it becomes the old generation and the
-//     previous old generation is dropped, so resident entries never
-//     exceed ~2× capacity no matter how long a serving trace runs, while
-//     recently- and frequently-used points (old-generation hits are
-//     promoted back to young) survive rotation.
+//   - a counted simulator call (Simulate): sim.Simulate prices a pass in
+//     about a microsecond without allocating, so it is called directly,
+//     and the count says how much simulation a run asked for.
 //
 // Determinism guarantee: Map assigns work by index and callers write
 // results into index-addressed slots, and sim.Simulate is a pure function
@@ -36,43 +27,19 @@ import (
 	"mugi/internal/sim"
 )
 
-// Point is one simulation work item: the inputs of sim.Simulate.
-type Point struct {
-	Params   sim.Params
-	Workload model.Workload
-}
-
-// DefaultCacheCapacity is the default per-generation entry bound of the
-// simulation cache: two generations of this size fit every distinct point
-// the full experiment registry produces with room to spare, while bounding
-// a million-request serving trace to a few MB of resident results.
-const DefaultCacheCapacity = 1 << 15
-
-// Stats reports cache accounting for one engine.
+// Stats reports one engine's simulator call count. Every call computes a
+// fresh result, so every call is a miss; Hits and Evictions stay for
+// callers that read all three.
 type Stats struct {
-	// Hits counts Simulate calls answered from the cache (including
-	// calls that joined an in-flight computation).
+	// Hits is always 0: no result is reused.
 	Hits uint64
-	// Misses counts Simulate calls that computed a fresh result.
+	// Misses counts Simulate calls since the last ResetCache.
 	Misses uint64
-	// Evictions counts cached results dropped by generation rotation
-	// (zero until a workload outgrows the configured capacity).
+	// Evictions is always 0: nothing is stored.
 	Evictions uint64
 }
 
-// cacheEntry is a single-flight slot: the first requester computes, every
-// later requester waits on the Once and reads the shared result. ok stays
-// false if the computation panicked, so joiners never mistake the zero
-// Result for a real one. key is retained so a panicking computation can
-// unpoison its slot from whichever generation currently holds it.
-type cacheEntry struct {
-	once sync.Once
-	res  sim.Result
-	ok   bool
-	key  string
-}
-
-// Engine combines the worker pool and the simulation cache.
+// Engine combines the worker pool and the simulator call count.
 type Engine struct {
 	mu      sync.Mutex
 	workers int
@@ -80,43 +47,15 @@ type Engine struct {
 	// it non-blockingly, so the total concurrency across nested calls
 	// stays bounded by the configured parallelism.
 	helpers chan struct{}
-	// young/old are the two cache generations; lookups check young then
-	// old (promoting old hits), inserts go to young, and filling young to
-	// capacity rotates it into old, dropping the previous old generation.
-	young, old map[string]*cacheEntry
-	capacity   int
-	// prefixes memoizes the rendered sim.Params half of the cache key per
-	// distinct Params value — a handful of entries per process, never
-	// rotated (it holds key encodings, not results).
-	prefixes  map[sim.Params]string
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	calls   atomic.Uint64
 }
 
 // New builds an engine with the given parallelism; n <= 0 selects
 // runtime.GOMAXPROCS(0).
 func New(n int) *Engine {
-	e := &Engine{
-		young:    map[string]*cacheEntry{},
-		old:      map[string]*cacheEntry{},
-		prefixes: map[sim.Params]string{},
-		capacity: DefaultCacheCapacity,
-	}
+	e := &Engine{}
 	e.SetParallelism(n)
 	return e
-}
-
-// SetCacheCapacity bounds each cache generation at n entries (resident
-// results stay under ~2n); n <= 0 restores DefaultCacheCapacity. A
-// smaller capacity takes effect at the next insert's rotation check.
-func (e *Engine) SetCacheCapacity(n int) {
-	if n <= 0 {
-		n = DefaultCacheCapacity
-	}
-	e.mu.Lock()
-	e.capacity = n
-	e.mu.Unlock()
 }
 
 // SetParallelism resizes the worker pool; n <= 0 selects
@@ -209,125 +148,19 @@ func (e *Engine) Map(n int, f func(i int)) {
 // type (including nil-interface-ish values) consistently.
 type panicValue struct{ v any }
 
-// Simulate is the cache-through simulator: it returns the cached result
-// for an identical input tuple, computing it (exactly once, even under
-// concurrent requests) on first use. A steady-state hit allocates
-// nothing: the key is encoded into a pooled buffer (see key.go) and the
-// generation maps are probed with zero-copy string conversions.
+// Simulate is sim.Simulate, counted.
+//
+//mugi:noalloc
 func (e *Engine) Simulate(p sim.Params, w model.Workload) sim.Result {
-	p = p.WithDefaults()
-	buf := keyBufPool.Get().(*[]byte)
-	b := (*buf)[:0]
-
-	e.mu.Lock()
-	prefix, ok := e.prefixes[p]
-	if !ok {
-		prefix = paramsKey(p)
-		e.prefixes[p] = prefix
-	}
-	b = append(b, prefix...)
-	b = appendWorkloadKey(b, &w)
-	ent, hit := e.young[string(b)]
-	if !hit {
-		if prev, inOld := e.old[string(b)]; inOld {
-			// Promote the old-generation hit so it survives the next
-			// rotation.
-			ent, hit = prev, true
-			delete(e.old, prev.key)
-			e.young[prev.key] = prev
-			e.rotateLocked()
-		}
-	}
-	if !hit {
-		ent = &cacheEntry{key: string(b)}
-		e.young[ent.key] = ent
-		e.rotateLocked()
-	}
-	e.mu.Unlock()
-	*buf = b
-	keyBufPool.Put(buf)
-
-	if hit {
-		e.hits.Add(1)
-	} else {
-		e.misses.Add(1)
-	}
-	ent.once.Do(func() {
-		// A panicking computation must not poison the slot: drop it so
-		// later calls recompute instead of reading a zero Result.
-		defer func() {
-			if r := recover(); r != nil {
-				e.mu.Lock()
-				if e.young[ent.key] == ent {
-					delete(e.young, ent.key)
-				}
-				if e.old[ent.key] == ent {
-					delete(e.old, ent.key)
-				}
-				e.mu.Unlock()
-				panic(r)
-			}
-		}()
-		ent.res = sim.Simulate(p, w)
-		ent.ok = true
-	})
-	if !ent.ok {
-		// We joined a flight that panicked (the Once is burned but the
-		// result never landed): compute directly, surfacing any panic to
-		// this caller too.
-		return sim.Simulate(p, w)
-	}
-	return ent.res
+	e.calls.Add(1)
+	return sim.Simulate(p, w)
 }
 
-// rotateLocked ages the young generation into old once it reaches
-// capacity, dropping (and counting) the entries of the displaced old
-// generation. Callers hold e.mu. In-flight computations in a dropped
-// generation complete normally for their waiters; the results are simply
-// no longer resident.
-func (e *Engine) rotateLocked() {
-	if len(e.young) < e.capacity {
-		return
-	}
-	e.evictions.Add(uint64(len(e.old)))
-	e.old = e.young
-	e.young = make(map[string]*cacheEntry)
-}
+// ResetCache zeroes the call count.
+func (e *Engine) ResetCache() { e.calls.Store(0) }
 
-// Prefetch computes every point across the pool, warming the cache so a
-// subsequent serial rendering pass is all hits. Duplicate points collapse
-// onto one computation via the single-flight cache.
-func (e *Engine) Prefetch(pts []Point) {
-	e.Map(len(pts), func(i int) {
-		e.Simulate(pts[i].Params, pts[i].Workload)
-	})
-}
-
-// ResetCache drops every cached result (both generations) and zeroes the
-// hit/miss/eviction counters. The params-prefix memo survives: it holds
-// key encodings, not results.
-func (e *Engine) ResetCache() {
-	e.mu.Lock()
-	e.young = map[string]*cacheEntry{}
-	e.old = map[string]*cacheEntry{}
-	e.mu.Unlock()
-	e.hits.Store(0)
-	e.misses.Store(0)
-	e.evictions.Store(0)
-}
-
-// CacheStats returns the hit/miss/eviction counters.
-func (e *Engine) CacheStats() Stats {
-	return Stats{Hits: e.hits.Load(), Misses: e.misses.Load(), Evictions: e.evictions.Load()}
-}
-
-// CacheSize returns the number of resident cached points across both
-// generations.
-func (e *Engine) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.young) + len(e.old)
-}
+// CacheStats returns the call count as misses.
+func (e *Engine) CacheStats() Stats { return Stats{Misses: e.calls.Load()} }
 
 // ---- Default engine ----
 
@@ -344,22 +177,13 @@ func Parallelism() int { return defaultEngine.Parallelism() }
 // Map fans f(0..n-1) across the default pool.
 func Map(n int, f func(i int)) { defaultEngine.Map(n, f) }
 
-// Simulate is the default engine's cache-through simulator.
+// Simulate is the default engine's counted simulator call.
 func Simulate(p sim.Params, w model.Workload) sim.Result {
 	return defaultEngine.Simulate(p, w)
 }
 
-// Prefetch warms the default cache across the pool.
-func Prefetch(pts []Point) { defaultEngine.Prefetch(pts) }
-
-// ResetCache clears the default engine's cache and counters.
+// ResetCache zeroes the default engine's call count.
 func ResetCache() { defaultEngine.ResetCache() }
 
-// SetCacheCapacity bounds the default engine's cache generations.
-func SetCacheCapacity(n int) { defaultEngine.SetCacheCapacity(n) }
-
-// CacheStats returns the default engine's hit/miss/eviction counters.
+// CacheStats returns the default engine's call count as misses.
 func CacheStats() Stats { return defaultEngine.CacheStats() }
-
-// CacheSize returns the default engine's distinct cached point count.
-func CacheSize() int { return defaultEngine.CacheSize() }

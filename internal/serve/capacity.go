@@ -171,9 +171,10 @@ func Search[R any](spec CapacitySpec, probe func(Stream) (R, Report, error)) (ca
 }
 
 // FindCapacity searches the maximum sustained request rate of one
-// configuration, probing with RunStream (see Search).
+// configuration, probing with RunStream (see Search). Its probes share
+// one price list (Config.SharePrices).
 func FindCapacity(cfg Config, spec CapacitySpec) (CapacityResult, error) {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.SharePrices()
 	res := CapacityResult{Design: cfg.Design.Name, Mesh: cfg.Mesh.String()}
 	var err error
 	res.Capacity, res.AtCapacity, res.Probes, err = Search(spec, func(src Stream) (Report, Report, error) {

@@ -79,8 +79,9 @@ func TestFindCapacityUnsustainableFloor(t *testing.T) {
 	}
 }
 
-// TestFindCapacityValidates: a spec the search cannot run is an error,
-// never a wrong capacity with a nil error (or a hang on NaN arrivals).
+// TestFindCapacityValidates: a spec or replica configuration the search
+// cannot run is an error, never a wrong capacity with a nil error (or a
+// hang on NaN arrivals, or a panic).
 func TestFindCapacityValidates(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -99,6 +100,13 @@ func TestFindCapacityValidates(t *testing.T) {
 		spec := capSpec()
 		tc.mut(&spec)
 		if res, err := FindCapacity(baseConfig(), spec); err == nil {
+			t.Errorf("%s: accepted, capacity %g after %d probes", tc.name, res.Capacity, res.Probes)
+		}
+	}
+	for _, tc := range malformedConfigs() {
+		cfg := baseConfig()
+		tc.mut(&cfg)
+		if res, err := FindCapacity(cfg, capSpec()); err == nil {
 			t.Errorf("%s: accepted, capacity %g after %d probes", tc.name, res.Capacity, res.Probes)
 		}
 	}
@@ -161,7 +169,6 @@ func TestSearchCapacityDeterministicAtAnyParallelism(t *testing.T) {
 
 	render := func(par int) []string {
 		runner.SetParallelism(par)
-		runner.ResetCache()
 		results := SearchCapacity(base, cells, capSpec())
 		out := make([]string, len(results))
 		for i, r := range results {
@@ -177,7 +184,6 @@ func TestSearchCapacityDeterministicAtAnyParallelism(t *testing.T) {
 	}
 	serial := render(1)
 	parallel := render(8)
-	runner.ResetCache()
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Errorf("cell %d diverges across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s",

